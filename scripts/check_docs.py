@@ -26,6 +26,10 @@ subsystem doc must carry exactly those rows, in vocabulary order, with
 the same kind/unit/description as the code (and therefore as
 OBSERVABILITY.md, by check 1).
 
+A sixth check guards CI's bench gate: the committed quick baseline
+(``benchmarks/baselines/BENCH-quick-baseline.json``) must exist, load
+as a results document, and carry every registered scenario.
+
 Run directly (exit 0/1) or through ``tests/test_check_docs.py``.
 """
 
@@ -41,6 +45,8 @@ SRC = REPO / "src" / "repro"
 DOC = REPO / "OBSERVABILITY.md"
 BENCH_DOC = REPO / "BENCHMARKS.md"
 PROXY_DOC = REPO / "PROXIES.md"
+BASELINE_REL = "benchmarks/baselines/BENCH-quick-baseline.json"
+BASELINE = REPO / BASELINE_REL
 
 # Key prefixes whose vocabulary rows PROXIES.md must mirror.
 PROXY_PREFIXES = ("proxy.", "prefetch.")
@@ -281,13 +287,29 @@ def check_proxy_doc_matches_code() -> List[str]:
     return problems
 
 
+def check_bench_baseline() -> List[str]:
+    from repro.bench import scenario_names
+    from repro.bench.runner import BenchError, load_document
+    if not BASELINE.exists():
+        return [f"{BASELINE_REL} is missing (write it with "
+                f"scripts/refresh_baseline.sh and commit it)"]
+    try:
+        document = load_document(str(BASELINE))
+    except (OSError, ValueError, BenchError) as exc:
+        return [f"{BASELINE_REL} does not load: {exc}"]
+    return [f"bench scenario {name!r} is registered but missing from "
+            f"{BASELINE_REL}"
+            for name in sorted(set(scenario_names()) - set(document["scenarios"]))]
+
+
 def run_all() -> List[str]:
-    """All problems from all five checks (empty means consistent)."""
+    """All problems from all six checks (empty means consistent)."""
     return (check_docs_match_code()
             + check_documented_keys_emitted()
             + check_emitted_keys_documented()
             + check_bench_docs_match_registry()
-            + check_proxy_doc_matches_code())
+            + check_proxy_doc_matches_code()
+            + check_bench_baseline())
 
 
 def main() -> int:
@@ -303,7 +325,8 @@ def main() -> int:
     print(f"check_docs: OBSERVABILITY.md and repro.obs.keys agree "
           f"({n_keys} keys, {len(INSTRUMENTED)} instrumented files); "
           f"BENCHMARKS.md and repro.bench agree ({n_scenarios} scenarios); "
-          f"PROXIES.md carries the {n_proxy} proxy/prefetch keys")
+          f"PROXIES.md carries the {n_proxy} proxy/prefetch keys; "
+          f"the committed bench baseline covers every scenario")
     return 0
 
 

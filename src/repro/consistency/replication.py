@@ -9,10 +9,9 @@ point; the harness measures rounds-to-convergence and bytes shipped.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
-from ..sim import Future, Simulator, Tracer
+from ..sim import EXPIRED, ReplyTable, Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 
@@ -21,7 +20,10 @@ __all__ = ["Replica", "gossip_round", "converge"]
 KIND_SYNC = "crdt.sync"
 KIND_SYNC_ACK = "crdt.sync_ack"
 
-_sync_ids = itertools.count(1)
+# How long a sync waits for the peer's state: the runtime's default
+# request timeout (ClusterNode.request_timeout_us), so a failed peer
+# costs one bounded wait instead of hanging the gossip round.
+SYNC_TIMEOUT_US = 100_000.0
 
 
 class Replica:
@@ -37,7 +39,7 @@ class Replica:
         self.sim: Simulator = host.sim
         self.crdt = crdt
         self.tracer = tracer or Tracer()
-        self._pending: Dict[int, Future] = {}
+        self.calls = ReplyTable(self.sim)
         self.bytes_sent = 0
         self.merges = 0
         host.on(KIND_SYNC, self._on_sync)
@@ -59,18 +61,16 @@ class Replica:
         ))
 
     def _on_ack(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["sync_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
+        self.calls.resolve(packet.payload["sync_id"], packet)
 
     def sync_with(self, peer: str):
         """Process: one symmetric state exchange with ``peer``.
 
         After it completes, both replicas hold the join of their states.
+        Returns True, or False when ``peer`` did not answer within
+        :data:`SYNC_TIMEOUT_US` (the peer may still have merged ours).
         """
-        sync_id = next(_sync_ids)
-        future = Future(self.sim, name=f"sync-{sync_id}")
-        self._pending[sync_id] = future
+        sync_id, future = self.calls.open()
         state = self.crdt.to_bytes()
         self.bytes_sent += len(state)
         self.tracer.count("replica.sync_started")
@@ -79,7 +79,10 @@ class Replica:
             payload={"sync_id": sync_id, "state": state},
             payload_bytes=16 + len(state),
         ))
-        reply = yield future
+        reply = yield from self.calls.wait(sync_id, future, SYNC_TIMEOUT_US)
+        if reply is EXPIRED:
+            self.tracer.count("replica.sync_timeout")
+            return False
         incoming = type(self.crdt).from_bytes(
             reply.payload["state"], self.crdt.replica_id)
         self.crdt.merge(incoming)

@@ -17,7 +17,6 @@ Accesses read one cache line (64 B) from the target object, matching the
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -61,8 +60,6 @@ KIND_RESOLVE_RSP = "shard.resolve_rsp"     # shard -> requester: holder + lease
 KIND_LEASE_INVALIDATE = "shard.lease_inval"  # shard -> lease holder: drop X
 
 ACCESS_BYTES = 64  # one cache line per access, per §3.2
-
-_find_ids = itertools.count(1)
 
 
 class DiscoveryError(Exception):

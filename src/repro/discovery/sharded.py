@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.objectid import IDAllocator, ObjectID
 from ..core.space import ObjectSpace
 from ..obs.registry import MetricsRegistry
-from ..sim import AnyOf, Future, Simulator, Timeout, Tracer, summarize
+from ..sim import EXPIRED, ReplyTable, Simulator, Timeout, Tracer, summarize
 from ..net.host import Host
 from ..net.packet import Packet
 from ..net.topology import Network
@@ -75,9 +74,6 @@ __all__ = [
 ]
 
 SCHEME_SHARDED = "sharded"
-
-_resolve_ids = itertools.count(1)
-_access_ids = itertools.count(1)
 
 
 class ShardMap:
@@ -252,17 +248,14 @@ class ShardAdvertiser:
             metrics.register(
                 metrics_name or f"discovery.advertiser.{host.name}",
                 self.tracer, replace=True)
-        self._adv_ids = itertools.count(1)
-        self._pending: Dict[int, Future] = {}
+        self.calls = ReplyTable(self.sim)
         # Version per oid: bumping it retires the running monitor, so
         # advertise-after-move and withdraw are race-free.
         self._versions: Dict[ObjectID, int] = {}
         host.on(KIND_ADVERTISE_ACK, self._on_ack)
 
     def _on_ack(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["adv_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet.src)
+        self.calls.resolve(packet.payload["adv_id"], packet.src)
 
     def advertise(self, oid: ObjectID) -> None:
         """Start (or restart) advertising ``oid`` as held by this host."""
@@ -301,19 +294,17 @@ class ShardAdvertiser:
             for _ in range(self.ack_retries):
                 if not self._current(oid, version):
                     return False
-                adv_id = next(self._adv_ids)
-                future = Future(self.sim, name=f"adv-{adv_id}")
-                self._pending[adv_id] = future
+                adv_id, future = self.calls.open()
                 self.host.send(Packet(
                     kind=KIND_ADVERTISE, src=self.host.name, dst=shard,
                     oid=oid,
                     payload={"owner": self.host.name, "adv_id": adv_id},
                     payload_bytes=24,
                 ))
-                index_won, _ = yield AnyOf([future, Timeout(self.ack_timeout_us)])
-                if index_won == 0:
+                acked_by = yield from self.calls.wait(
+                    adv_id, future, self.ack_timeout_us)
+                if acked_by is not EXPIRED:
                     return True
-                self._pending.pop(adv_id, None)
         return False
 
 
@@ -351,24 +342,17 @@ class LeaseCachingResolver:
         if metrics is not None:
             metrics.register(metrics_name, self.tracer, replace=True)
         self.cache: Dict[ObjectID, Tuple[str, float]] = {}  # oid -> (holder, expiry)
-        self._pending: Dict[Tuple[str, int], Future] = {}
+        # Resolves and accesses share one table: ids are unique across both.
+        self.calls = ReplyTable(self.sim)
         self._seen: set = set()
-        host.on(KIND_RESOLVE_RSP, self._on_resolve_rsp)
-        host.on(KIND_ACCESS_RSP, self._on_access_rsp)
-        host.on(KIND_ACCESS_NACK, self._on_access_rsp)
+        host.on(KIND_RESOLVE_RSP, self._on_reply)
+        host.on(KIND_ACCESS_RSP, self._on_reply)
+        host.on(KIND_ACCESS_NACK, self._on_reply)
         host.on(KIND_LEASE_INVALIDATE, self._on_invalidate)
 
     # -- ingress ------------------------------------------------------------
-    def _complete(self, key: Tuple[str, int], value) -> None:
-        future = self._pending.pop(key, None)
-        if future is not None and not future.done:
-            future.set_result(value)
-
-    def _on_resolve_rsp(self, packet: Packet) -> None:
-        self._complete(("res", packet.payload["req_id"]), packet)
-
-    def _on_access_rsp(self, packet: Packet) -> None:
-        self._complete(("req", packet.payload["req_id"]), packet)
+    def _on_reply(self, packet: Packet) -> None:
+        self.calls.resolve(packet.payload["req_id"], packet)
 
     def _on_invalidate(self, packet: Packet) -> None:
         if packet.oid in self.cache:
@@ -431,19 +415,16 @@ class LeaseCachingResolver:
             if index > 0:
                 self.tracer.count("shard.failover")
             for _ in range(self.resolve_attempts):
-                req_id = next(_resolve_ids)
-                future = Future(self.sim, name=f"res-{req_id}")
-                self._pending[("res", req_id)] = future
+                req_id, future = self.calls.open()
                 self.host.send(Packet(
                     kind=KIND_RESOLVE_REQ, src=self.host.name, dst=shard,
                     oid=oid, payload={"req_id": req_id}, payload_bytes=24,
                 ))
                 record.round_trips += 1
-                index_won, reply = yield AnyOf(
-                    [future, Timeout(self.timeout_us)])
-                if index_won == 1:
+                reply = yield from self.calls.wait(req_id, future,
+                                                   self.timeout_us)
+                if reply is EXPIRED:
                     self.tracer.count("lease.timeout")
-                    self._pending.pop(("res", req_id), None)
                     continue
                 holder = reply.payload["holder"]
                 if holder is None:
@@ -457,19 +438,16 @@ class LeaseCachingResolver:
     def _access_once(self, holder: str, oid: ObjectID, offset: int,
                      length: int, record: AccessRecord):
         """Process: one unicast access exchange; returns the reply or None."""
-        req_id = next(_access_ids)
-        future = Future(self.sim, name=f"lacc-{req_id}")
-        self._pending[("req", req_id)] = future
+        req_id, future = self.calls.open()
         self.host.send(Packet(
             kind=KIND_ACCESS_REQ, src=self.host.name, dst=holder, oid=oid,
             payload={"req_id": req_id, "offset": offset, "length": length},
             payload_bytes=24,
         ))
         record.round_trips += 1
-        index_won, reply = yield AnyOf([future, Timeout(self.timeout_us)])
-        if index_won == 1:
+        reply = yield from self.calls.wait(req_id, future, self.timeout_us)
+        if reply is EXPIRED:
             self.tracer.count("lease.timeout")
-            self._pending.pop(("req", req_id), None)
             return None
         return reply
 

@@ -35,12 +35,11 @@ answers "not present" and the home prunes instead of hanging).
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict, deque
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.objectid import ObjectID
-from ..sim import Future, ScheduledEvent, Simulator, Tracer
+from ..sim import Future, ReplyTable, ScheduledEvent, Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from .pool import SharedMemoryPool
@@ -74,8 +73,6 @@ PERM_MODIFIED = "M"
 # Shared-line eviction policies.
 EVICT_NOTIFY = "notify"           # release so the directory drops the sharer
 EVICT_SILENT_DROP = "silent_drop" # drop; the directory prunes on the next probe
-
-_req_ids = itertools.count(1)
 
 
 class CoherenceError(Exception):
@@ -154,12 +151,17 @@ class CoherenceAgent:
         self._cache: "OrderedDict[ObjectID, _CacheEntry]" = OrderedDict()
         self._cache_bytes = 0
         self._directory: Dict[ObjectID, _DirectoryEntry] = {}
-        self._pending: Dict[int, Future] = {}
+        # Acquire/upgrade/writeback/home-barrier waits carry no deadline:
+        # they are protocol transactions, and abandoning one midway
+        # would need abort semantics the MSI machine does not have.
+        self.calls = ReplyTable(self.sim)
         # Capacity-eviction releases are fire-and-forget (no waiting
-        # process), but a dirty eviction's data must stay reachable until
-        # the home acks it: a probe racing the release finds the bytes
-        # here and piggybacks them on the probe ack, so the home never
-        # grants stale directory data.
+        # process; their ids come from ReplyTable.new_id, the source
+        # ``calls`` draws from, so an eviction's ack never matches a
+        # waited-on writeback), but a dirty eviction's data must stay
+        # reachable until the home acks it: a probe racing the release
+        # finds the bytes here and piggybacks them on the probe ack, so
+        # the home never grants stale directory data.
         self._evicting: Dict[ObjectID, Tuple[int, bytes]] = {}
         self._evict_inflight: Dict[int, ObjectID] = {}
         host.on(MSG_ACQUIRE, self._on_acquire)
@@ -316,7 +318,7 @@ class CoherenceAgent:
             if entry.dirty:
                 self.tracer.count("coherence.evict.writeback")
                 data = bytes(entry.data)
-            req_id = next(_req_ids)
+            req_id = ReplyTable.new_id()
             self._evict_inflight[req_id] = oid
             if data is not None:
                 self._evicting[oid] = (req_id, data)
@@ -326,7 +328,7 @@ class CoherenceAgent:
             return
         self.tracer.count("coherence.evict.shared")
         if self.shared_evict_policy == EVICT_NOTIFY:
-            req_id = next(_req_ids)
+            req_id = ReplyTable.new_id()
             self._evict_inflight[req_id] = oid
             self.host.send(release_packet(
                 self.host.name, self._home_of(oid), oid, req_id,
@@ -383,9 +385,7 @@ class CoherenceAgent:
                 results[index] = yield from self.read(oid, offset, length)
                 continue
             self.tracer.count("coherence.read_miss")
-            req_id = next(_req_ids)
-            future = Future(self.sim, name=f"scan-{req_id}")
-            self._pending[req_id] = future
+            req_id, future = self.calls.open()
             by_home.setdefault(self._home_of(oid), []).append(
                 (index, oid, req_id, future))
         for home, wanted in by_home.items():
@@ -436,9 +436,7 @@ class CoherenceAgent:
                 results[oid] = yield from self._pool.load(oid)
                 continue
             self.tracer.count("coherence.read_miss")
-            req_id = next(_req_ids)
-            future = Future(self.sim, name=f"bulk-{req_id}")
-            self._pending[req_id] = future
+            req_id, future = self.calls.open()
             by_home.setdefault(self._home_of(oid), []).append(
                 (oid, req_id, future))
         for home, wanted in by_home.items():
@@ -489,9 +487,7 @@ class CoherenceAgent:
         entry = self._cache.get(oid)
         if entry is None:
             raise CoherenceError(f"{self.host.name} has no cached copy of {oid.short()}")
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"release-{req_id}")
-        self._pending[req_id] = future
+        req_id, future = self.calls.open()
         self.host.send(release_packet(
             self.host.name, self._home_of(oid), oid, req_id, entry.perm,
             bytes(entry.data) if entry.dirty else None))
@@ -519,9 +515,7 @@ class CoherenceAgent:
         self.host.send(acquire_packet(self.host.name, home, perm, reqs))
 
     def _acquire(self, oid: ObjectID, perm: str):
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"acquire-{req_id}")
-        self._pending[req_id] = future
+        req_id, future = self.calls.open()
         self._send_acquire(self._home_of(oid), perm,
                            [{"oid": oid, "req_id": req_id}])
         granted = yield future
@@ -530,9 +524,7 @@ class CoherenceAgent:
     def _upgrade(self, oid: ObjectID):
         """Process: request S -> M; the grant carries data only if our
         shared copy was invalidated while the request was in flight."""
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"upgrade-{req_id}")
-        self._pending[req_id] = future
+        req_id, future = self.calls.open()
         self._send_acquire(self._home_of(oid), PERM_MODIFIED,
                            [{"oid": oid, "req_id": req_id, "upgrade": True}])
         granted = yield future
@@ -557,9 +549,7 @@ class CoherenceAgent:
         directory = self._home_directory(oid)
         if not directory.sharers and directory.owner is None:
             return
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"homebarrier-{req_id}")
-        self._pending[req_id] = future
+        req_id, future = self.calls.open()
         txn = _Txn(self.host.name, req_id, perm, home_local=True)
         self._admit(oid, directory, txn)
         yield future
@@ -568,20 +558,18 @@ class CoherenceAgent:
 
     def _on_grant(self, packet: Packet) -> None:
         for entry in packet.payload["grants"]:
-            future = self._pending.pop(entry["req_id"], None)
-            if future is None:
-                self.tracer.count("coherence.orphan_grant")
-                continue
             if entry.get("nack"):
                 # The home refused: it never hosted this object (stale
                 # home map).  Fault the waiting coroutine instead of
                 # leaving it parked on the future forever.
                 oid = entry["oid"]
-                future.set_exception(CoherenceError(
+                matched = self.calls.fail(entry["req_id"], CoherenceError(
                     f"acquire {entry['perm']} of {oid.short()} NACKed by "
                     f"{packet.src}: not the home (stale home map?)"))
-                continue
-            future.set_result(entry)
+            else:
+                matched = self.calls.resolve(entry["req_id"], entry)
+            if not matched:
+                self.tracer.count("coherence.orphan_grant")
 
     def _on_release_ack(self, packet: Packet) -> None:
         req_id = packet.payload["req_id"]
@@ -593,9 +581,7 @@ class CoherenceAgent:
             if pending is not None and pending[0] == req_id:
                 del self._evicting[oid]
             return
-        future = self._pending.pop(req_id, None)
-        if future is not None:
-            future.set_result(None)
+        self.calls.resolve(req_id, None)
 
     # -- home / directory side ------------------------------------------------
     def _on_acquire(self, packet: Packet) -> None:
@@ -767,9 +753,7 @@ class CoherenceAgent:
             # Local barrier: complete without touching the network.
             directory.owner = None
             directory.sharers.discard(self.host.name)
-            future = self._pending.pop(txn.req_id, None)
-            if future is not None:
-                future.set_result(entry)
+            self.calls.resolve(txn.req_id, entry)
             self._finish_transaction(oid, directory)
             return
         self._queue_grant(requester, entry)

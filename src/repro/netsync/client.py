@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Optional
+from typing import Optional
 
-from ..sim import Future, Simulator, Tracer
+from ..sim import ReplyTable, Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from .services import (
@@ -17,8 +16,6 @@ from .services import (
 )
 
 __all__ = ["SyncClient"]
-
-_req_ids = itertools.count(1)
 
 
 class SyncClient:
@@ -35,19 +32,19 @@ class SyncClient:
         self.sim: Simulator = host.sim
         self.service = service
         self.tracer = tracer or Tracer()
-        self._pending: Dict[int, Future] = {}
+        self.calls = ReplyTable(self.sim)
         host.on(KIND_SEQ_RSP, self._on_reply)
         host.on(KIND_LOCK_GRANT, self._on_reply)
 
     def _on_reply(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["req_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
+        self.calls.resolve(packet.payload["req_id"], packet)
 
     def _request(self, kind: str, payload: dict, payload_bytes: int = 24):
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"sync-{req_id}")
-        self._pending[req_id] = future
+        """Send a request; returns the Future of its reply.
+
+        Callers wait on it with no deadline: a lock grant legitimately
+        waits behind the current holder for as long as it holds."""
+        req_id, future = self.calls.open()
         self.host.send(Packet(
             kind=kind, src=self.host.name, dst=self.service,
             payload={"req_id": req_id, **payload}, payload_bytes=payload_bytes,

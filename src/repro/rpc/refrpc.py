@@ -21,13 +21,12 @@ computation to itself.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.costmodel import CostModel, DEFAULT_COST_MODEL
 from ..core.objectid import ObjectID
-from ..sim import AnyOf, Future, Resource, Simulator, Timeout, Tracer
+from ..sim import EXPIRED, ReplyTable, Resource, Simulator, Timeout, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from .serializer import SerializationClock, decode, encode
@@ -37,8 +36,6 @@ __all__ = ["RemoteRef", "RefRpcServer", "RefRpcClient"]
 
 KIND_REFCALL = "refrpc.call"
 KIND_REFREPLY = "refrpc.reply"
-
-_call_ids = itertools.count(1)
 
 # Locator: oid -> (holder host name, object size in bytes).
 Locator = Callable[[ObjectID], Tuple[str, int]]
@@ -183,13 +180,11 @@ class RefRpcClient:
         self.timeout_us = timeout_us
         self.clock = clock if clock is not None else SerializationClock()
         self.tracer = tracer or Tracer()
-        self._pending: Dict[int, Future] = {}
+        self.calls = ReplyTable(self.sim)
         host.on(KIND_REFREPLY, self._on_reply)
 
     def _on_reply(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["call_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
+        self.calls.resolve(packet.payload["call_id"], packet)
 
     def call(self, endpoint: str, method: str, **args: Any):
         """Process: invoke ``method`` at ``endpoint``; :class:`RemoteRef`
@@ -198,18 +193,15 @@ class RefRpcClient:
         values, refs = _split_args(args)
         wire_values = encode(values)
         yield Timeout(self.clock.serialize_us(len(wire_values)))
-        call_id = next(_call_ids)
-        future = Future(self.sim, name=f"refrpc-{call_id}")
-        self._pending[call_id] = future
+        call_id, future = self.calls.open()
         self.host.send(Packet(
             kind=KIND_REFCALL, src=self.host.name, dst=endpoint,
             payload={"call_id": call_id, "method": method,
                      "values": wire_values, "refs": refs},
             payload_bytes=24 + len(wire_values) + 24 * len(refs),
         ))
-        index, reply = yield AnyOf([future, Timeout(self.timeout_us)])
-        if index == 1:
-            self._pending.pop(call_id, None)
+        reply = yield from self.calls.wait(call_id, future, self.timeout_us)
+        if reply is EXPIRED:
             raise RpcTimeout(f"{endpoint}.{method} timed out")
         wire_result = reply.payload["result"]
         yield Timeout(self.clock.deserialize_us(len(wire_result)))

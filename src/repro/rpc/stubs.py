@@ -15,10 +15,9 @@ bounded pool of worker slots so an overloaded Bob queues requests — the
 from __future__ import annotations
 
 import inspect
-import itertools
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..sim import AnyOf, Future, Resource, Simulator, Timeout, Tracer
+from ..sim import EXPIRED, ReplyTable, Resource, Simulator, Timeout, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from .serializer import SerializationClock, decode, encode
@@ -27,8 +26,6 @@ __all__ = ["RpcServer", "RpcClient", "RpcError", "RpcTimeout", "RpcMethod"]
 
 KIND_CALL = "rpc.call"
 KIND_REPLY = "rpc.reply"
-
-_call_ids = itertools.count(1)
 
 # handler(args) -> (result, compute_us); generators may yield sim waitables.
 RpcMethod = Callable[..., Any]
@@ -137,13 +134,11 @@ class RpcClient:
         self.timeout_us = timeout_us
         self.clock = clock if clock is not None else SerializationClock()
         self.tracer = tracer or Tracer()
-        self._pending: Dict[int, Future] = {}
+        self.calls = ReplyTable(self.sim)
         host.on(KIND_REPLY, self._on_reply)
 
     def _on_reply(self, packet: Packet) -> None:
-        future = self._pending.pop(packet.payload["call_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
+        self.calls.resolve(packet.payload["call_id"], packet)
 
     def call(self, endpoint: str, method: str, **args: Any):
         """Process: invoke ``method`` at ``endpoint`` with ``args``.
@@ -154,17 +149,14 @@ class RpcClient:
         start = self.sim.now
         wire_args = encode(args)
         yield Timeout(self.clock.serialize_us(len(wire_args)))
-        call_id = next(_call_ids)
-        future = Future(self.sim, name=f"rpc-{call_id}")
-        self._pending[call_id] = future
+        call_id, future = self.calls.open()
         self.host.send(Packet(
             kind=KIND_CALL, src=self.host.name, dst=endpoint,
             payload={"call_id": call_id, "method": method, "args": wire_args},
             payload_bytes=24 + len(wire_args),
         ))
-        index, reply = yield AnyOf([future, Timeout(self.timeout_us)])
-        if index == 1:
-            self._pending.pop(call_id, None)
+        reply = yield from self.calls.wait(call_id, future, self.timeout_us)
+        if reply is EXPIRED:
             self.tracer.count("rpc.timeout")
             raise RpcTimeout(f"{endpoint}.{method} timed out after {self.timeout_us}us")
         wire_result = reply.payload["result"]

@@ -50,7 +50,7 @@ from ..obs.keys import (
     SPAN_RETURN,
 )
 from ..obs.span import SpanRecorder
-from ..sim import AnyOf, Process, Resource, Simulator, Timeout, Tracer
+from ..sim import EXPIRED, Process, Resource, Simulator, Timeout, Tracer
 from ..memproto.pool import SharedMemoryPool
 from ..net.packet import Packet
 from ..net.topology import Network
@@ -761,7 +761,7 @@ class GlobalSpaceRuntime:
             # callers that do not bring a policy deadline still get the
             # node's request timeout.
             deadline_us = node.request_timeout_us
-        req_id, future = node._new_future()
+        req_id, future = node.calls.open()
         wire_values = encode(values)
         payload = {
             "req_id": req_id,
@@ -802,14 +802,12 @@ class GlobalSpaceRuntime:
             payload_bytes=m.EXEC_REQ_OVERHEAD_BYTES + len(wire_values)
             + 24 * len(data_refs),
         ))
-        index, reply = yield AnyOf([future, Timeout(deadline_us)])
-        if index == 1:
+        reply = yield from node.calls.wait(req_id, future, deadline_us)
+        if reply is EXPIRED:
             # Deadline expired with the request still outstanding: the
-            # executor (or the path to it) is gone or wedged.  Drop the
-            # pending future — a late reply finds nothing to resume —
-            # and surface a retryable attempt failure for the failover
-            # loop in :meth:`invoke`.
-            node._pending.pop(req_id, None)
+            # executor (or the path to it) is gone or wedged.  Surface a
+            # retryable attempt failure for the failover loop in
+            # :meth:`invoke`.
             self.tracer.count(K_INVOKE_DEADLINE)
             if span is not None and not req_span.finished:
                 self.spans.finish(req_span, error="deadline")

@@ -23,7 +23,6 @@ Code functions are either plain callables ``fn(ctx, args) -> result``
 from __future__ import annotations
 
 import inspect
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
@@ -40,7 +39,7 @@ from ..obs.keys import (
     SPAN_RETURN,
     SPAN_STAGE_IN,
 )
-from ..sim import AnyOf, Future, Simulator, Timeout, Tracer
+from ..sim import EXPIRED, ReplyTable, Simulator, Timeout, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from ..rpc.serializer import decode, encode
@@ -52,8 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["AdmissionPolicy", "AdmissionRejected", "ClusterNode",
            "ExecutionContext", "FetchTimeout", "NodeProxyBackend",
            "PRIORITY_HIGH", "PRIORITY_NORMAL", "RuntimeError_"]
-
-_req_ids = itertools.count(1)
 
 PRIORITY_NORMAL = "normal"
 PRIORITY_HIGH = "high"
@@ -171,7 +168,8 @@ class AdmissionPolicy:
 
 
 class FetchTimeout(RuntimeError_):
-    """A fetch or demand-read exhausted every replica without a reply.
+    """A fetch or demand read exhausted every replica, or a demand write
+    its holder, without a reply.
 
     Distinguished from plain :class:`RuntimeError_` so an executor
     serving someone else's invocation can NACK it as *retryable*: the
@@ -195,7 +193,7 @@ class ClusterNode:
         self.admission = admission
         self._admitted = 0
         self._active_jobs = 0
-        self._pending: Dict[int, Future] = {}
+        self.calls = ReplyTable(self.sim)
         # Lazy-proxy table (PROXIES.md): one per node, shared by every
         # invocation that executes here, so prefetched images survive
         # across invocations exactly like staged replicas do.
@@ -228,20 +226,12 @@ class ClusterNode:
         self.runtime._invalidate_profile(self.name)
 
     # -- request/reply plumbing --------------------------------------------
-    def _new_future(self) -> tuple:
-        req_id = next(_req_ids)
-        future = Future(self.sim, name=f"{self.name}-req{req_id}")
-        self._pending[req_id] = future
-        return req_id, future
-
     def _on_reply(self, packet: Packet) -> None:
         # Any reply is proof of life: clear the sender's suspicion (a
         # late reply after our deadline still rehabilitates the node).
         if packet.src is not None:
             self.runtime.health.clear(packet.src)
-        future = self._pending.pop(packet.payload["req_id"], None)
-        if future is not None and not future.done:
-            future.set_result(packet)
+        self.calls.resolve(packet.payload["req_id"], packet)
 
     # -- server side ----------------------------------------------------------
     def _on_fetch_req(self, packet: Packet) -> None:
@@ -591,14 +581,14 @@ class ClusterNode:
         for source in sources:
             if source == self.name:
                 continue
-            req_id, future = self._new_future()
+            req_id, future = self.calls.open()
             self.host.send(Packet(
                 kind=m.KIND_FETCH_REQ, src=self.name, dst=source, oid=oid,
                 payload={"req_id": req_id}, payload_bytes=m.FETCH_REQ_BYTES,
             ))
-            index, reply = yield AnyOf([future, Timeout(self.request_timeout_us)])
-            if index == 1:
-                self._pending.pop(req_id, None)
+            reply = yield from self.calls.wait(req_id, future,
+                                               self.request_timeout_us)
+            if reply is EXPIRED:
                 self.tracer.count("node.fetch_timeout")
                 self.runtime.health.suspect(source)
                 last_error = FetchTimeout(
@@ -635,15 +625,15 @@ class ClusterNode:
                 key=lambda h: (self.runtime.network.hop_distance(h, self.name), h))
         last_error = None
         for source in sources:
-            req_id, future = self._new_future()
+            req_id, future = self.calls.open()
             self.host.send(Packet(
                 kind=m.KIND_READ_REQ, src=self.name, dst=source, oid=oid,
                 payload={"req_id": req_id, "offset": offset, "length": length},
                 payload_bytes=m.READ_REQ_BYTES,
             ))
-            index, reply = yield AnyOf([future, Timeout(self.request_timeout_us)])
-            if index == 1:
-                self._pending.pop(req_id, None)
+            reply = yield from self.calls.wait(req_id, future,
+                                               self.request_timeout_us)
+            if reply is EXPIRED:
                 self.tracer.count("node.read_timeout")
                 self.runtime.health.suspect(source)
                 last_error = FetchTimeout(
@@ -660,15 +650,24 @@ class ClusterNode:
 
     def remote_write(self, oid: ObjectID, offset: int, data: bytes,
                      holder: Optional[str] = None):
-        """Process: demand-write a range of a remote object."""
+        """Process: demand-write a range of a remote object.
+
+        Raises :class:`FetchTimeout` (and suspects the holder) when no
+        reply arrives within ``request_timeout_us``."""
         source = holder if holder is not None else self.runtime.nearest_holder(oid, self.name)
-        req_id, future = self._new_future()
+        req_id, future = self.calls.open()
         self.host.send(Packet(
             kind=m.KIND_WRITE_REQ, src=self.name, dst=source, oid=oid,
             payload={"req_id": req_id, "offset": offset, "data": data},
             payload_bytes=m.READ_REQ_BYTES + len(data),
         ))
-        reply = yield future
+        reply = yield from self.calls.wait(req_id, future,
+                                           self.request_timeout_us)
+        if reply is EXPIRED:
+            self.tracer.count("node.write_timeout")
+            self.runtime.health.suspect(source)
+            raise FetchTimeout(
+                f"write of {oid.short()} to {source} timed out")
         if not reply.payload["ok"]:
             raise RuntimeError_(f"{source} could not serve write of {oid.short()}")
         self.tracer.count("node.remote_write")

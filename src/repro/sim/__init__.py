@@ -19,7 +19,7 @@ from .loop import (
     Simulator,
     Timeout,
 )
-from .primitives import Future, Latch, Resource, Store
+from .primitives import EXPIRED, Future, Latch, ReplyTable, Resource, Store
 from .trace import (
     NULL_TRACER,
     Counter,
@@ -44,6 +44,8 @@ __all__ = [
     "Store",
     "Resource",
     "Future",
+    "ReplyTable",
+    "EXPIRED",
     "Latch",
     "Counter",
     "SampleSeries",

@@ -217,6 +217,10 @@ class AnyOf(Waitable):
                     for shim in shims:
                         if shim._pending_handle is not None:
                             shim._pending_handle.cancel()
+                    # Break the shims -> shim -> collect -> shims cycle,
+                    # so a finished race is freed by refcount instead of
+                    # waiting for the cyclic GC (every reply wait races).
+                    shims.clear()
                     process._resume((index, value))
 
             return collect

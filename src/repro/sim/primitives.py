@@ -2,18 +2,21 @@
 
 These are the building blocks the network substrate uses: message queues
 between NICs and protocol handlers (:class:`Store`), capacity-limited
-resources such as serving slots on a host (:class:`Resource`), and
-single-assignment futures for request/reply matching (:class:`Future`).
+resources such as serving slots on a host (:class:`Resource`),
+single-assignment futures (:class:`Future`), and the deadline-bound
+request/reply table every protocol client matches its replies through
+(:class:`ReplyTable`).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from .loop import Process, SimError, Simulator, Waitable
+from .loop import AnyOf, Process, SimError, Simulator, Timeout, Waitable
 
-__all__ = ["Store", "Resource", "Future", "Latch"]
+__all__ = ["Store", "Resource", "Future", "ReplyTable", "EXPIRED", "Latch"]
 
 
 class _StoreGet(Waitable):
@@ -179,11 +182,12 @@ class Resource:
 
 
 class Future(Waitable):
-    """Single-assignment result cell; the request/reply matching primitive.
+    """Single-assignment result cell.
 
-    A protocol handler creates a Future keyed by a request id, the caller
-    yields on it, and the reply path calls :meth:`set_result` (or
-    :meth:`set_exception`) exactly once.
+    A process yields on it and the completing side calls
+    :meth:`set_result` (or :meth:`set_exception`) exactly once.
+    Request/reply matching keys Futures by request id in a
+    :class:`ReplyTable`.
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
@@ -231,6 +235,73 @@ class Future(Waitable):
         if self._exc is not None:
             raise self._exc
         return self._value
+
+
+#: What :meth:`ReplyTable.wait` returns when the deadline wins the race.
+#: Compare with ``is``: no packet handler can produce this object.
+EXPIRED = object()
+
+# Request ids are unique across every table in the process, so a reply
+# can never complete a request that another table opened.
+_request_ids = itertools.count(1)
+
+
+class ReplyTable:
+    """Pending request/reply matching with a deadline on every wait.
+
+    The caller opens a request id, puts it on the wire, and waits with
+    ``reply = yield from table.wait(req_id, future, deadline_us)``.  The
+    reply's packet handler calls :meth:`resolve` (or :meth:`fail`) with
+    the id the reply carries.  When the deadline wins, ``wait`` drops
+    the id and returns :data:`EXPIRED`, so a late reply finds nothing
+    to complete.
+    """
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self._pending: Dict[int, Future] = {}
+
+    @staticmethod
+    def new_id() -> int:
+        """A fresh request id with no reply registered, for
+        fire-and-forget messages whose acks are matched by the caller."""
+        return next(_request_ids)
+
+    def open(self, req_id: Optional[int] = None) -> Tuple[int, Future]:
+        """Register a pending reply; returns ``(req_id, future)``.
+        Passing an expired attempt's id re-arms it for a retry that
+        resends that id."""
+        if req_id is None:
+            req_id = next(_request_ids)
+        future = Future(self.sim)
+        self._pending[req_id] = future
+        return req_id, future
+
+    def resolve(self, req_id: int, value: Any) -> bool:
+        """Complete ``req_id`` with ``value``; False if nothing waits on it."""
+        future = self._pending.pop(req_id, None)
+        if future is None:
+            return False
+        future.set_result(value)
+        return True
+
+    def fail(self, req_id: int, exc: BaseException) -> bool:
+        """Raise ``exc`` in the waiter of ``req_id``; False if none."""
+        future = self._pending.pop(req_id, None)
+        if future is None:
+            return False
+        future.set_exception(exc)
+        return True
+
+    def wait(self, req_id: int, future: Future, deadline_us: float):
+        """Sub-generator (enter with ``yield from``): the reply, or
+        :data:`EXPIRED` after ``deadline_us``.  A reply cancels the
+        deadline timer; a :meth:`fail` raises in the caller."""
+        index, _ = yield AnyOf([future, Timeout(deadline_us)])
+        if index == 1:
+            self._pending.pop(req_id, None)
+            return EXPIRED
+        return future.value
 
 
 class Latch(Waitable):

@@ -5,6 +5,7 @@ trustworthy: renaming a key in either place fails CI, not a reader.
 """
 
 import importlib.util
+import json
 import pathlib
 
 
@@ -48,6 +49,22 @@ def test_detects_undocumented_emission(tmp_path, monkeypatch):
     monkeypatch.setattr(check_docs, "INSTRUMENTED", ("rogue.py",))
     problems = check_docs.check_emitted_keys_documented()
     assert problems and "host.rogue_key" in problems[0]
+
+
+def test_detects_unusable_bench_baseline(tmp_path, monkeypatch):
+    baseline = tmp_path / "BENCH-quick-baseline.json"
+    monkeypatch.setattr(check_docs, "BASELINE", baseline)
+    assert "is missing" in check_docs.check_bench_baseline()[0]
+    baseline.write_text("{not json", encoding="utf-8")
+    assert "does not load" in check_docs.check_bench_baseline()[0]
+    document = json.loads(check_docs.REPO.joinpath(
+        check_docs.BASELINE_REL).read_text(encoding="utf-8"))
+    dropped = sorted(document["scenarios"])[0]
+    del document["scenarios"][dropped]
+    baseline.write_text(json.dumps(document), encoding="utf-8")
+    assert check_docs.check_bench_baseline() == [
+        f"bench scenario {dropped!r} is registered but missing from "
+        f"{check_docs.BASELINE_REL}"]
 
 
 def test_main_exit_code_reflects_consistency(capsys):

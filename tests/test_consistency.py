@@ -12,6 +12,7 @@ from repro.consistency import (
     Replica,
     converge,
 )
+from repro.consistency.replication import SYNC_TIMEOUT_US
 from repro.net import build_star
 from repro.sim import Simulator
 
@@ -288,6 +289,34 @@ class TestReplication:
         rounds = sim.run_process(converge(replicas, sim.rng))
         assert rounds <= 5
         assert {r.crdt.value for r in replicas} == {15}
+
+    def test_sync_with_failed_peer_times_out(self):
+        sim, replicas = self._replicas(n=2)
+        replicas[1].host.fail()
+
+        def proc():
+            ok = yield sim.spawn(replicas[0].sync_with("h1"))
+            return ok, sim.now
+
+        ok, finished_at = sim.run_process(proc(), until=10_000_000.0)
+        assert ok is False
+        assert finished_at == pytest.approx(SYNC_TIMEOUT_US)
+        assert replicas[0].tracer.counters["replica.sync_timeout"] == 1
+
+    def test_converge_reports_failure_with_a_failed_replica(self):
+        sim, replicas = self._replicas(n=3, seed=7)
+        replicas[0].crdt.increment(1)
+        replicas[2].host.fail()
+
+        def proc():
+            try:
+                yield sim.spawn(converge(replicas, sim.rng, max_rounds=3))
+            except AssertionError as exc:
+                return str(exc)
+            return None
+
+        outcome = sim.run_process(proc(), until=10_000_000.0)
+        assert outcome == "no convergence after 3 gossip rounds"
 
     def test_gossip_tracks_bytes(self):
         sim, replicas = self._replicas(n=3, seed=5)

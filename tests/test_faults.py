@@ -25,6 +25,7 @@ from repro.faults import (
     FaultPlanError,
     HealthLedger,
 )
+from repro.loadgen import LoadGenerator, TenantSpec
 from repro.net import Packet, build_star
 from repro.net.node import NodeError
 from repro.obs.keys import (
@@ -35,6 +36,7 @@ from repro.obs.keys import (
     K_INVOKE_RETRIES,
 )
 from repro.runtime import (
+    FetchTimeout,
     GlobalSpaceRuntime,
     InvokeTimeout,
     RetryPolicy,
@@ -490,6 +492,52 @@ class TestSeedSweep:
         # Byte-level determinism of the fault path: identical outcomes,
         # counters, and simulated clock across two fresh runs.
         assert _faulted_run(_seed(base_seed)) == _faulted_run(_seed(base_seed))
+
+
+# ---------------------------------------------------------------------------
+# remote writes to a crashed holder
+# ---------------------------------------------------------------------------
+
+
+class TestRemoteWriteDeadline:
+    def test_write_to_crashed_holder_times_out(self):
+        # The write request to a failed holder is dropped; the reply
+        # wait must end at the node's request timeout, not hang.
+        sim, net, registry, runtime = make_cluster(_seed(51))
+        obj, _ = make_blob(runtime, holders=("n1",))
+        net.host("n1").fail()
+        node = runtime.node("n0")
+
+        def writer():
+            try:
+                yield from node.remote_write(obj.oid, 0, b"x")
+            except FetchTimeout:
+                return sim.now
+            return None
+
+        finished_at = sim.run_process(writer(), until=10_000_000.0)
+        assert finished_at == pytest.approx(node.request_timeout_us)
+        assert node.tracer.counters["node.write_timeout"] == 1
+        assert runtime.health.tracer.counters[K_HEALTH_SUSPECTED] == 1
+
+    def test_store_tenant_accounting_balances_across_crash_window(self):
+        # Every store offered while the holder is down must end as
+        # completed or failed: offered == completed + dropped + failed.
+        sim = Simulator(seed=_seed(52))
+        net = build_star(sim, 4, default_bandwidth_gbps=0.05,
+                         default_latency_us=2.0)
+        runtime = GlobalSpaceRuntime(net)
+        for i in range(4):
+            runtime.add_node(f"h{i}")
+        FaultInjector(net, FaultPlan().crash_window(
+            "h1", 20_000.0, 400_000.0)).arm()
+        tenant = TenantSpec(name="w", client="h0", rate_per_sec=2_000.0,
+                            mix=(("store", 1.0),))
+        report = LoadGenerator(runtime, [tenant],
+                               duration_us=200_000.0).run()
+        w = report.tenants["w"]
+        assert w.offered == w.completed + w.dropped + w.failed
+        assert w.failed > 0  # stores homed on h1 timed out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Unit tests for Store, Resource, Future, and Latch."""
+"""Unit tests for Store, Resource, Future, ReplyTable, and Latch."""
 
 import pytest
 
-from repro.sim import Future, Latch, Resource, SimError, Store, Timeout
+from repro.sim import (EXPIRED, Future, Latch, ReplyTable, Resource, SimError,
+                       Store, Timeout)
 
 
 class TestStore:
@@ -224,6 +225,81 @@ class TestFuture:
         sim.schedule(1.0, future.set_result, "shared")
         sim.run()
         assert sorted(results) == [("a", "shared"), ("b", "shared")]
+
+
+class TestReplyTable:
+    def test_reply_before_deadline(self, sim):
+        table = ReplyTable(sim)
+        req_id, future = table.open()
+
+        def proc():
+            reply = yield from table.wait(req_id, future, 100.0)
+            return reply, sim.now
+
+        sim.schedule(10.0, table.resolve, req_id, "pong")
+        assert sim.run_process(proc()) == ("pong", 10.0)
+
+    def test_expiry_then_late_resolve_is_ignored(self, sim):
+        table = ReplyTable(sim)
+        req_id, future = table.open()
+
+        def proc():
+            reply = yield from table.wait(req_id, future, 50.0)
+            return reply, sim.now
+
+        assert sim.run_process(proc()) == (EXPIRED, 50.0)
+        assert table.resolve(req_id, "late") is False
+        assert not future.done
+
+    def test_fail_raises_in_the_waiter(self, sim):
+        table = ReplyTable(sim)
+        req_id, future = table.open()
+
+        def proc():
+            try:
+                yield from table.wait(req_id, future, 100.0)
+            except KeyError:
+                return "caught", sim.now
+            return "no raise", sim.now
+
+        sim.schedule(5.0, table.fail, req_id, KeyError("nack"))
+        assert sim.run_process(proc()) == ("caught", 5.0)
+
+    def test_reply_value_never_reads_as_expiry(self, sim):
+        # None is what the deadline Timeout itself resumes with; a reply
+        # carrying it must still come back as a reply.
+        table = ReplyTable(sim)
+        req_id, future = table.open()
+
+        def proc():
+            reply = yield from table.wait(req_id, future, 100.0)
+            return reply
+
+        sim.schedule(1.0, table.resolve, req_id, None)
+        assert sim.run_process(proc()) is None
+
+    def test_ids_unique_across_tables(self, sim):
+        first, second = ReplyTable(sim), ReplyTable(sim)
+        ids = []
+        for _ in range(50):
+            ids.append(first.open()[0])
+            ids.append(second.open()[0])
+            ids.append(ReplyTable.new_id())
+        assert len(set(ids)) == len(ids)
+        assert second.resolve(ids[0], "wrong table") is False
+
+    def test_reply_cancels_the_deadline_timer(self, sim):
+        table = ReplyTable(sim)
+        req_id, future = table.open()
+
+        def proc():
+            yield from table.wait(req_id, future, 1_000.0)
+            return None
+
+        sim.spawn(proc())
+        sim.schedule(7.0, table.resolve, req_id, "pong")
+        assert sim.run() == 7.0
+        assert sim.pending_event_count == 0
 
 
 class TestLatch:
