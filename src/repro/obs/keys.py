@@ -145,6 +145,8 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("node.write_timeout", "counter", "1",
        "Remote writes that timed out (the holder is suspected)."),
     _k("node.remote_write", "counter", "1", "Remote writes completed."),
+    _k("node.admission.rejected", "counter", "1",
+       "Invocation attempts refused by the node's admission budget."),
     _k("node.isolated_claim", "counter", "1",
        "Objects claimed for exclusive ownership by an isolated-mode "
        "invocation before its compute window."),
@@ -449,8 +451,7 @@ VOCABULARY: Tuple[KeySpec, ...] = (
        "(published before the first subscribe or after the last one left)."),
     _k("pubsub.dead_route_pruned", "counter", "1",
        "Topic routes rewritten to exclude a suspected-dead subscriber host."),
-    # ---- bus.* (the event bus's tracer; `bus.rejected` is recorded on the
-    # executor node's tracer by the admission gate)
+    # ---- bus.* (the event bus's tracer)
     _k("bus.published", "counter", "1", "Events accepted from publishers."),
     _k("bus.delivered", "counter", "1",
        "Events handed to a bus subscriber's handler (once per subscriber)."),
@@ -464,8 +465,6 @@ VOCABULARY: Tuple[KeySpec, ...] = (
     _k("bus.shed", "counter", "1",
        "Events dropped: publisher buffer overflow under a drop policy, "
        "or a redelivery budget exhausted."),
-    _k("bus.rejected", "counter", "1",
-       "Invocation attempts refused by a node's admission budget."),
     _k("bus.credit_stall", "counter", "1",
        "Publishes that could not transmit immediately for lack of "
        "consumer credit (buffered, blocked, or shed)."),

@@ -56,10 +56,18 @@ from ..net.packet import Packet
 from ..net.topology import Network
 from ..rpc.serializer import decode, encode
 from . import messages as m
-from .node import (
+from .messages import (
+    MODE_EAGER,
+    MODE_ISOLATED,
+    MODE_LAZY,
+    MODE_PROXIED,
+    MODES,
     PRIORITY_HIGH,
     PRIORITY_NORMAL,
     PRIORITIES,
+    ExecRequest,
+)
+from .node import (
     AdmissionPolicy,
     AdmissionRejected,
     ClusterNode,
@@ -81,15 +89,6 @@ __all__ = [
     "PRIORITY_HIGH",
     "PRIORITY_NORMAL",
 ]
-
-MODE_EAGER = "eager"      # stage every input object at the executor up front
-MODE_LAZY = "lazy"        # stage only the code; data moves on demand
-MODE_PROXIED = "proxied"  # stage only the code; bind args as lazy proxies
-                          # (optionally covered by a reachability prefetch)
-MODE_ISOLATED = "isolated"  # eager staging + up-front object-set
-                            # reservation and ownership claim: execute
-                            # with no interleaved invalidation
-
 
 class InvokeTimeout(RuntimeError_):
     """An invocation exhausted its retry budget (or its candidates)
@@ -151,6 +150,17 @@ class _AttemptFailed(Exception):
         self.suspect = suspect
         self.retry_after_us = retry_after_us
         self.admission = admission
+
+    @classmethod
+    def shed(cls, executor: str, retry_after_us: Optional[float]):
+        """The executor refused the attempt at its admission budget."""
+        return cls(executor, "admission rejected", suspect=False,
+                   admission=True, retry_after_us=retry_after_us)
+
+    @classmethod
+    def retryable(cls, executor: str, error: str):
+        """The executor is alive but its data source timed out under it."""
+        return cls(executor, f"retryable failure: {error}", suspect=False)
 
 
 class ReservationTable:
@@ -552,22 +562,22 @@ class GlobalSpaceRuntime:
         its descriptor — see :mod:`repro.runtime.plan`.  Returns
         :class:`InvokeResult`.
 
-        Remote attempts are bounded by ``retry`` (default: the runtime's
-        :class:`RetryPolicy`): on a deadline expiry or retryable NACK the
-        invocation backs off, marks the executor suspected, and re-runs
-        placement over the candidates not yet tried — failover instead of
-        a hang.  When the budget or the candidate set runs out it raises
+        Every attempt is bounded by ``retry`` (default: the runtime's
+        :class:`RetryPolicy`): when the executor misses the reply
+        deadline, or reports that its data source timed out, the
+        invocation backs off, marks the suspect, and re-runs placement
+        over the candidates not yet tried — failover instead of a hang.
+        Local and remote executors get the same verdict.  When the
+        budget or the candidate set runs out it raises
         :class:`InvokeTimeout`.
         """
         if invoker not in self.nodes:
             raise RuntimeError_(f"invoker {invoker!r} is not a cluster node")
-        if mode not in (MODE_EAGER, MODE_LAZY, MODE_PROXIED, MODE_ISOLATED):
+        if mode not in MODES:
             raise RuntimeError_(f"unknown invocation mode {mode!r}")
         if priority not in PRIORITIES:
             raise RuntimeError_(f"unknown priority class {priority!r}")
-        proxied = mode == MODE_PROXIED
-        isolated = mode == MODE_ISOLATED
-        if prefetch is not None and not proxied:
+        if prefetch is not None and mode != MODE_PROXIED:
             raise RuntimeError_("prefetch budgets require MODE_PROXIED")
         data_refs = dict(data_refs or {})
         values = dict(values or {})
@@ -607,7 +617,7 @@ class GlobalSpaceRuntime:
                 flops=flops,
             )
             policy = retry if retry is not None else self.retry_policy
-            decode_args = list(decode_args)
+            decode_args = tuple(decode_args)
             attempt = 0
             tried: Set[str] = set()
             admission_only = True
@@ -630,45 +640,20 @@ class GlobalSpaceRuntime:
                     self.tracer.count(K_INVOCATIONS)
                 self.tracer.count(f"{K_PLACED_AT}{decision.node}")
 
-                stage: List[ObjectID] = [code_ref.oid]
+                stage = [code_ref.oid]
                 if eager_staging:
                     stage.extend(ref.oid for ref in data_refs.values()
                                  if decision.node not in self.holders(ref.oid))
-                compute_us = decision.compute_us
-
-                executor = self.node(decision.node)
+                req = ExecRequest(
+                    code=code_ref.oid, stage=tuple(stage), refs=data_refs,
+                    values=values, compute_us=decision.compute_us,
+                    result_bytes=result_bytes, decode_args=decode_args,
+                    materialize=materialize_result, mode=mode,
+                    prefetch=prefetch, priority=priority)
                 try:
-                    if decision.node == invoker:
-                        if not executor.try_admit(priority):
-                            # Same shedding the remote path gets from the
-                            # executor's NACK, without a wire round trip.
-                            executor.tracer.count("bus.rejected")
-                            raise _AttemptFailed(
-                                decision.node, "admission rejected",
-                                suspect=False, admission=True,
-                                retry_after_us=executor.admission.retry_after_us)
-                        try:
-                            result = yield from executor.stage_and_execute(
-                                code_ref.oid, stage, data_refs, values,
-                                compute_us, decode_args=decode_args,
-                                materialize=materialize_result, span=root,
-                                proxied=proxied, prefetch=prefetch,
-                                isolated=isolated)
-                        finally:
-                            executor.release_admission()
-                        # Local result handoff is free: zero-width return
-                        # phase.
-                        self.spans.start(SPAN_RETURN, parent=root,
-                                         node=invoker).finish(local=True)
-                    else:
-                        result = yield from self._remote_exec(
-                            invoker, decision.node, code_ref.oid, stage,
-                            data_refs, values, compute_us, result_bytes,
-                            decode_args=decode_args,
-                            materialize=materialize_result, span=root,
-                            deadline_us=policy.deadline_us,
-                            proxied=proxied, prefetch=prefetch,
-                            isolated=isolated, priority=priority)
+                    result = yield from self._attempt(
+                        invoker, decision.node, req, root, policy.deadline_us)
+                    break
                 except _AttemptFailed as failure:
                     if failure.suspect:
                         self.health.suspect(failure.executor)
@@ -702,8 +687,6 @@ class GlobalSpaceRuntime:
                         # back off at least that long instead of hammering.
                         backoff = max(backoff, failure.retry_after_us)
                     yield Timeout(backoff)
-                    continue
-                break
             if attempt > 0:
                 # Completed, but not on the first executor we asked.
                 self.tracer.count(K_INVOKE_FAILOVER)
@@ -744,95 +727,68 @@ class GlobalSpaceRuntime:
             self.invoke(invoker, code_ref, **kwargs),
             name=f"invoke-async-{invoker}")
 
-    def _remote_exec(self, invoker: str, executor: str, code_oid: ObjectID,
-                     stage: List[ObjectID], data_refs: Dict[str, GlobalRef],
-                     values: Dict[str, Any], compute_us: float,
-                     result_bytes: int,
-                     decode_args: Optional[List[str]] = None,
-                     materialize: bool = False, span=None,
-                     deadline_us: Optional[float] = None,
-                     proxied: bool = False, prefetch=None,
-                     isolated: bool = False,
-                     priority: str = PRIORITY_NORMAL):
-        node = self.node(invoker)
-        decode_args = list(decode_args) if decode_args is not None else []
-        if deadline_us is None:
-            # Never wait unboundedly on a host that may have crashed:
-            # callers that do not bring a policy deadline still get the
-            # node's request timeout.
-            deadline_us = node.request_timeout_us
-        req_id, future = node.calls.open()
-        wire_values = encode(values)
-        payload = {
-            "req_id": req_id,
-            "code_oid": str(code_oid),
-            "stage": [str(oid) for oid in stage],
-            "refs": {name: (str(ref.oid), ref.offset, ref.mode)
-                     for name, ref in data_refs.items()},
-            "args": wire_values,
-            "compute_us": compute_us,
-            "result_bytes": result_bytes,
-            "decode": decode_args,
-            "materialize": materialize,
-        }
-        if proxied:
-            # Small protocol flags; like span ids these are accounting
-            # metadata on top of the existing request overhead bytes.
-            payload["proxied"] = True
-            if prefetch is not None:
-                payload["prefetch"] = [prefetch.depth, prefetch.fanout,
-                                       prefetch.max_objects]
-        if isolated:
-            payload["isolated"] = True
-        if priority != PRIORITY_NORMAL:
-            payload["priority"] = priority
-        if span is not None:
-            # The request span measures the outbound wire leg: opened
-            # here, finished by the executor when it starts serving.
-            # Span ids ride the payload but are accounting metadata, not
-            # protocol bytes — payload_bytes stays exactly as before so
-            # simulated latencies are unchanged by tracing.
-            req_span = self.spans.start(SPAN_REQUEST, parent=span,
-                                        node=invoker, executor=executor)
-            payload["span_parent"] = span.span_id
-            payload["span_request"] = req_span.span_id
-        node.host.send(Packet(
+    def _attempt(self, invoker: str, executor: str, req: ExecRequest,
+                 root, deadline_us: float):
+        """Process: run ``req`` once on ``executor``; returns its result.
+
+        Local and remote placements give the same verdict.  Admission
+        shedding and a timed-out data source raise :class:`_AttemptFailed`
+        without suspecting the executor; a remote executor that misses
+        ``deadline_us`` raises it suspecting the executor; any other
+        failure propagates and ends the invocation.
+        """
+        if executor == invoker:
+            node = self.node(executor)
+            if not node.try_admit(req.priority):
+                # Same shedding the remote path gets from the executor's
+                # NACK, without a wire round trip.
+                raise _AttemptFailed.shed(executor,
+                                          node.admission.retry_after_us)
+            try:
+                result = yield from node.stage_and_execute(req, root)
+            except FetchTimeout as exc:
+                raise _AttemptFailed.retryable(executor, str(exc)) from None
+            finally:
+                node.release_admission()
+            # Local result handoff is free: zero-width return phase.
+            self.spans.start(SPAN_RETURN, parent=root,
+                             node=invoker).finish(local=True)
+            return result
+
+        caller = self.node(invoker)
+        req_id, future = caller.calls.open()
+        wire_values = encode(req.values)
+        # The request span measures the outbound wire leg: opened here,
+        # finished by the executor when it starts serving.  Span ids ride
+        # the payload as accounting metadata, not protocol bytes, so
+        # tracing leaves simulated latencies unchanged.
+        req_span = self.spans.start(SPAN_REQUEST, parent=root, node=invoker,
+                                    executor=executor)
+        caller.host.send(Packet(
             kind=m.KIND_EXEC_REQ, src=invoker, dst=executor,
-            payload=payload,
+            payload={"req_id": req_id, "req": req, "args": wire_values,
+                     "span_parent": root.span_id,
+                     "span_request": req_span.span_id},
             payload_bytes=m.EXEC_REQ_OVERHEAD_BYTES + len(wire_values)
-            + 24 * len(data_refs),
+            + 24 * len(req.refs),
         ))
-        reply = yield from node.calls.wait(req_id, future, deadline_us)
+        reply = yield from caller.calls.wait(req_id, future, deadline_us)
         if reply is EXPIRED:
-            # Deadline expired with the request still outstanding: the
-            # executor (or the path to it) is gone or wedged.  Surface a
-            # retryable attempt failure for the failover loop in
-            # :meth:`invoke`.
+            # The executor (or the path to it) is gone or wedged.
             self.tracer.count(K_INVOKE_DEADLINE)
-            if span is not None and not req_span.finished:
+            if not req_span.finished:
                 self.spans.finish(req_span, error="deadline")
             raise _AttemptFailed(
                 executor, f"no reply within {deadline_us:.0f}us")
-        ret_span = reply.payload.get("ret_span")
-        if ret_span is not None:
-            # Closing the executor-opened return span here stamps the
-            # reply's arrival instant — the inbound wire leg.
-            self.spans.finish_id(ret_span)
-        result = decode(reply.payload["result"])
-        if not reply.payload["ok"]:
-            if reply.payload.get("admission_rejected"):
-                # The executor shed us at its admission boundary: alive
-                # and healthy, just over budget.  Carry its retry-after
-                # hint back into the failover loop's backoff.
-                raise _AttemptFailed(
-                    executor, f"admission rejected: {result}", suspect=False,
-                    admission=True,
-                    retry_after_us=reply.payload.get("retry_after_us"))
-            if reply.payload.get("retryable"):
-                # The executor is alive but could not complete (its data
-                # source timed out under it) — fail over without marking
-                # it suspected.
-                raise _AttemptFailed(
-                    executor, f"retryable failure: {result}", suspect=False)
-            raise RuntimeError_(f"remote execution on {executor} failed: {result}")
-        return result
+        payload = reply.payload
+        if payload.get("admission_rejected"):
+            raise _AttemptFailed.shed(executor, payload["retry_after_us"])
+        # Closing the executor-opened return span here stamps the
+        # reply's arrival instant — the inbound wire leg.
+        self.spans.finish_id(payload["ret_span"])
+        result = decode(payload["result"])
+        if payload["ok"]:
+            return result
+        if payload["retryable"]:
+            raise _AttemptFailed.retryable(executor, result)
+        raise RuntimeError_(f"remote execution on {executor} failed: {result}")

@@ -8,9 +8,20 @@ Four exchanges, all identity-oriented:
 * **write** — demand-write a byte range of a remote object;
 * **exec** — ask a node to run a code object against argument refs and
   deliver the (small, by-value) result.
+
+An exec request is one :class:`ExecRequest`: the invoker builds it once
+per attempt and either runs it locally or ships it in the exec packet,
+so both placements see exactly the same request.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
+
+from ..core.objectid import ObjectID
+from ..core.proxies import PrefetchBudget
+from ..core.refs import GlobalRef
 
 KIND_FETCH_REQ = "gs.fetch_req"
 KIND_FETCH_RSP = "gs.fetch_rsp"
@@ -27,3 +38,41 @@ FETCH_REQ_BYTES = 24
 READ_REQ_BYTES = 32
 EXEC_REQ_OVERHEAD_BYTES = 48
 RSP_OVERHEAD_BYTES = 24
+
+MODE_EAGER = "eager"      # stage every input object at the executor up front
+MODE_LAZY = "lazy"        # stage only the code; data moves on demand
+MODE_PROXIED = "proxied"  # stage only the code; bind args as lazy proxies
+                          # (optionally covered by a reachability prefetch)
+MODE_ISOLATED = "isolated"  # eager staging + up-front object-set
+                            # reservation and ownership claim: execute
+                            # with no interleaved invalidation
+MODES = (MODE_EAGER, MODE_LAZY, MODE_PROXIED, MODE_ISOLATED)
+
+PRIORITY_NORMAL = "normal"
+PRIORITY_HIGH = "high"
+PRIORITIES = (PRIORITY_NORMAL, PRIORITY_HIGH)
+
+
+@dataclass(frozen=True)
+class ExecRequest:
+    """One invocation attempt as the executor sees it.
+
+    ``stage`` lists the objects to pull to the executor before running
+    (the code object, plus the inputs it does not hold in the eager
+    modes); ``refs`` and ``values`` are the reference and by-value
+    arguments; ``compute_us`` is the placement's compute estimate.  See
+    :meth:`GlobalSpaceRuntime.invoke` for ``decode_args``,
+    ``materialize``, ``mode``, ``prefetch`` and ``priority``.
+    """
+
+    code: ObjectID
+    stage: Tuple[ObjectID, ...]
+    refs: Dict[str, GlobalRef]
+    values: Dict[str, Any]
+    compute_us: float
+    result_bytes: int
+    decode_args: Tuple[str, ...] = ()
+    materialize: bool = False
+    mode: str = MODE_EAGER
+    prefetch: Optional[PrefetchBudget] = None
+    priority: str = PRIORITY_NORMAL

@@ -23,12 +23,12 @@ Code functions are either plain callables ``fn(ctx, args) -> result``
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from ..core.objectid import ObjectID
 from ..core.objects import MemObject
-from ..core.proxies import ObjectProxy, PrefetchBudget, ProxyCache
+from ..core.proxies import ObjectProxy, ProxyCache
 from ..core.refs import GlobalRef
 from ..core.security import AccessDenied
 from ..core.space import ObjectSpace
@@ -39,11 +39,12 @@ from ..obs.keys import (
     SPAN_RETURN,
     SPAN_STAGE_IN,
 )
-from ..sim import EXPIRED, ReplyTable, Simulator, Timeout, Tracer
+from ..sim import EXPIRED, AllOf, ReplyTable, Simulator, Timeout, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from ..rpc.serializer import decode, encode
 from . import messages as m
+from .messages import PRIORITY_HIGH, PRIORITY_NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import GlobalSpaceRuntime
@@ -51,11 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["AdmissionPolicy", "AdmissionRejected", "ClusterNode",
            "ExecutionContext", "FetchTimeout", "NodeProxyBackend",
            "PRIORITY_HIGH", "PRIORITY_NORMAL", "RuntimeError_"]
-
-PRIORITY_NORMAL = "normal"
-PRIORITY_HIGH = "high"
-PRIORITIES = (PRIORITY_NORMAL, PRIORITY_HIGH)
-
 
 class NodeProxyBackend:
     """Adapts a :class:`ClusterNode` to the proxy-resolver protocol of
@@ -76,19 +72,10 @@ class NodeProxyBackend:
     def resolve_many(self, oids):
         """Process: make every object resident here (parallel, failing
         over across replicas) and return ``{oid: payload bytes}``."""
-        from ..sim import AllOf
-
         node = self.node
         for oid in oids:
             node.runtime.policies.check_read(oid, node.name)
-        missing = [oid for oid in oids if oid not in node.space]
-        if missing:
-            fetches = [
-                node.sim.spawn(node.fetch_object(oid),
-                               name=f"proxy-fetch-{oid.short()}")
-                for oid in missing
-            ]
-            yield AllOf(fetches)
+        yield from node.fetch_all(oids)
         out = {}
         for oid in oids:
             obj = node.space.get(oid)
@@ -233,61 +220,61 @@ class ClusterNode:
             self.runtime.health.clear(packet.src)
         self.calls.resolve(packet.payload["req_id"], packet)
 
+    def _reply(self, request: Packet, kind: str, payload: Dict[str, Any],
+               data_bytes: int = 0) -> None:
+        """Answer ``request`` with a ``kind`` packet: ``payload`` plus the
+        request's id, costing the reply header plus ``data_bytes``."""
+        payload["req_id"] = request.payload["req_id"]
+        self.host.send(Packet(
+            kind=kind, src=self.name, dst=request.src, oid=request.oid,
+            payload=payload, payload_bytes=m.RSP_OVERHEAD_BYTES + data_bytes,
+        ))
+
+    def _sources(self, oid: ObjectID, holder: Optional[str]) -> List[str]:
+        """Replicas to try for ``oid``: just ``holder`` when given, else
+        every holder nearest first.  Equidistant holders tie-break by
+        name: a bare distance key would fall back to set-iteration order,
+        which varies with hash randomization across processes."""
+        if holder is not None:
+            return [holder]
+        return sorted(
+            self.runtime.holders(oid),
+            key=lambda h: (self.runtime.network.hop_distance(h, self.name), h))
+
     # -- server side ----------------------------------------------------------
     def _on_fetch_req(self, packet: Packet) -> None:
         oid = packet.oid
-        assert oid is not None
-        req_id = packet.payload["req_id"]
         if (oid not in self.space
                 or not self.runtime.policies.allows_read(oid, packet.src)):
             if oid in self.space:
                 self.tracer.count("node.fetch_denied")
             self.tracer.count("node.fetch_nack")
-            self.host.send(Packet(
-                kind=m.KIND_FETCH_NACK, src=self.name, dst=packet.src, oid=oid,
-                payload={"req_id": req_id}, payload_bytes=m.RSP_OVERHEAD_BYTES,
-            ))
+            self._reply(packet, m.KIND_FETCH_NACK, {})
             return
         wire = self.space.export_object(oid)
         self.tracer.count("node.fetch_served")
-        # The object image rides the reply: payload_bytes makes the links
+        # The object image rides the reply: its size makes the links
         # charge real transmission time for the full copy.
-        self.host.send(Packet(
-            kind=m.KIND_FETCH_RSP, src=self.name, dst=packet.src, oid=oid,
-            payload={"req_id": req_id, "wire": wire},
-            payload_bytes=m.RSP_OVERHEAD_BYTES + len(wire),
-        ))
+        self._reply(packet, m.KIND_FETCH_RSP, {"wire": wire}, len(wire))
 
     def _on_read_req(self, packet: Packet) -> None:
         oid = packet.oid
-        assert oid is not None
-        req_id = packet.payload["req_id"]
         if (oid not in self.space
                 or not self.runtime.policies.allows_read(oid, packet.src)):
             if oid in self.space:
                 self.tracer.count("node.read_denied")
-            self.host.send(Packet(
-                kind=m.KIND_READ_RSP, src=self.name, dst=packet.src, oid=oid,
-                payload={"req_id": req_id, "ok": False},
-                payload_bytes=m.RSP_OVERHEAD_BYTES,
-            ))
+            self._reply(packet, m.KIND_READ_RSP, {"ok": False})
             return
         obj = self.space.get(oid)
         offset = packet.payload["offset"]
         length = min(packet.payload["length"], obj.size - offset)
         data = obj.read(offset, length)
         self.tracer.count("node.read_served")
-        self.host.send(Packet(
-            kind=m.KIND_READ_RSP, src=self.name, dst=packet.src, oid=oid,
-            payload={"req_id": req_id, "ok": True, "data": data,
-                     "version": obj.version},
-            payload_bytes=m.RSP_OVERHEAD_BYTES + length,
-        ))
+        self._reply(packet, m.KIND_READ_RSP,
+                    {"ok": True, "data": data, "version": obj.version}, length)
 
     def _on_write_req(self, packet: Packet) -> None:
         oid = packet.oid
-        assert oid is not None
-        req_id = packet.payload["req_id"]
         ok = oid in self.space
         if ok:
             try:
@@ -299,11 +286,7 @@ class ClusterNode:
             obj = self.space.get(oid)
             obj.write(packet.payload["offset"], packet.payload["data"])
             self.tracer.count("node.write_served")
-        self.host.send(Packet(
-            kind=m.KIND_WRITE_RSP, src=self.name, dst=packet.src, oid=oid,
-            payload={"req_id": req_id, "ok": ok},
-            payload_bytes=m.RSP_OVERHEAD_BYTES,
-        ))
+        self._reply(packet, m.KIND_WRITE_RSP, {"ok": ok})
 
     # -- admission control ---------------------------------------------------
     @property
@@ -312,7 +295,8 @@ class ClusterNode:
         return self._admitted
 
     def try_admit(self, priority: str = PRIORITY_NORMAL) -> bool:
-        """Claim an inflight slot, or refuse.
+        """Claim an inflight slot, or refuse (counted as
+        ``node.admission.rejected``).
 
         Normal-priority work sees the budget minus the high-reserved
         slots; high-priority work may use the whole budget.  With no
@@ -325,6 +309,7 @@ class ClusterNode:
         if priority != PRIORITY_HIGH:
             cap -= self.admission.high_reserved
         if self._admitted >= cap:
+            self.tracer.count("node.admission.rejected")
             return False
         self._admitted += 1
         return True
@@ -335,194 +320,133 @@ class ClusterNode:
             self._admitted -= 1
 
     def _on_exec_req(self, packet: Packet) -> None:
-        priority = packet.payload.get("priority", PRIORITY_NORMAL)
-        if not self.try_admit(priority):
-            # Shed at the host boundary: an immediate retryable NACK
-            # with a retry-after hint, instead of queueing over budget.
-            self.tracer.count("bus.rejected")
-            span_request = packet.payload.get("span_request")
-            if span_request is not None:
-                self.runtime.spans.finish_id(span_request)
-            self.host.send(Packet(
-                kind=m.KIND_EXEC_RSP, src=self.name, dst=packet.src,
-                payload={"req_id": packet.payload["req_id"], "ok": False,
-                         "result": encode("admission rejected"),
-                         "retryable": True, "admission_rejected": True,
-                         "retry_after_us": self.admission.retry_after_us},
-                payload_bytes=m.RSP_OVERHEAD_BYTES,
-            ))
+        if not self.try_admit(packet.payload["req"].priority):
+            # Shed at the host boundary: an immediate NACK with a
+            # retry-after hint, instead of queueing over budget.
+            self.runtime.spans.finish_id(packet.payload["span_request"])
+            self._reply(packet, m.KIND_EXEC_RSP, {
+                "ok": False, "admission_rejected": True,
+                "retry_after_us": self.admission.retry_after_us})
             return
         self.sim.spawn(self._serve_exec(packet), name=f"{self.name}-exec")
 
     def _serve_exec(self, packet: Packet):
-        req_id = packet.payload["req_id"]
-        code_oid = ObjectID.from_hex(packet.payload["code_oid"])
-        stage = [ObjectID.from_hex(text) for text in packet.payload["stage"]]
-        refs = {
-            name: GlobalRef(ObjectID.from_hex(oid_hex), offset, mode)
-            for name, (oid_hex, offset, mode) in packet.payload["refs"].items()
-        }
-        values = decode(packet.payload["args"])
-        compute_us = packet.payload["compute_us"]
-        decode_args = packet.payload.get("decode", [])
-        materialize = packet.payload.get("materialize", False)
-        proxied = packet.payload.get("proxied", False)
-        prefetch = packet.payload.get("prefetch")
-        if prefetch is not None:
-            prefetch = PrefetchBudget(*prefetch)
+        # By-value arguments crossed the wire encoded; decoding them
+        # gives the executor its own copy.
+        req = replace(packet.payload["req"],
+                      values=decode(packet.payload["args"]))
         # Cross-host span plumbing: the invoker opened the root and the
         # request span; serving starts now, so the request (wire) leg
         # ends here.  The recorder is shared through the runtime.
-        span_parent = packet.payload.get("span_parent")
-        span_request = packet.payload.get("span_request")
-        parent = None
-        if span_parent is not None:
-            if span_request is not None:
-                self.runtime.spans.finish_id(span_request)
-            parent = self.runtime.spans.get(span_parent)
-        isolated = packet.payload.get("isolated", False)
+        spans = self.runtime.spans
+        spans.finish_id(packet.payload["span_request"])
+        parent = spans.get(packet.payload["span_parent"])
         try:
-            result = yield from self.stage_and_execute(
-                code_oid, stage, refs, values, compute_us,
-                decode_args=decode_args, materialize=materialize, span=parent,
-                proxied=proxied, prefetch=prefetch, isolated=isolated)
-            ok, wire_result = True, encode(result)
-            retryable = False
+            result = yield from self.stage_and_execute(req, parent)
+            reply = {"ok": True, "result": encode(result)}
         except Exception as exc:
-            ok, wire_result = False, encode(str(exc))
             # A fetch timeout means *our* data source is suspect, not
             # this executor: tell the invoker the attempt is retryable.
-            retryable = isinstance(exc, FetchTimeout)
+            reply = {"ok": False, "result": encode(str(exc)),
+                     "retryable": isinstance(exc, FetchTimeout)}
         finally:
             self.release_admission()
-        payload = {"req_id": req_id, "ok": ok, "result": wire_result}
-        if retryable:
-            payload["retryable"] = True
-        if parent is not None:
-            # The return span opens as the reply leaves and is finished
-            # by the invoker on arrival — the inbound wire leg.
-            ret = self.runtime.spans.start(SPAN_RETURN, parent=parent,
-                                           node=self.name, ok=ok)
-            payload["ret_span"] = ret.span_id
-        self.host.send(Packet(
-            kind=m.KIND_EXEC_RSP, src=self.name, dst=packet.src,
-            payload=payload,
-            payload_bytes=m.RSP_OVERHEAD_BYTES + len(wire_result),
-        ))
+        # The return span opens as the reply leaves and is finished by
+        # the invoker on arrival — the inbound wire leg.
+        reply["ret_span"] = spans.start(SPAN_RETURN, parent=parent,
+                                        node=self.name, ok=reply["ok"]).span_id
+        self._reply(packet, m.KIND_EXEC_RSP, reply, len(reply["result"]))
 
-    def stage_and_execute(self, code_oid: ObjectID, stage, refs, values,
-                          compute_us: float, decode_args=(),
-                          materialize: bool = False, span=None,
-                          proxied: bool = False,
-                          prefetch: Optional[PrefetchBudget] = None,
-                          isolated: bool = False):
+    def stage_and_execute(self, req: m.ExecRequest, span):
         """Process: pull every staged object here (in parallel), then run.
 
-        ``refs`` (name -> GlobalRef) and ``values`` (name -> plain value)
-        merge into the args dict the code function receives.  Names in
-        ``decode_args`` are reference arguments whose staged object bytes
-        are decoded into plain values first (how pipeline intermediates
-        arrive).  With ``materialize=True`` the result is written into a
-        fresh local object and only its descriptor is returned — the
-        §5 query-planning pattern: intermediates stay where they were
-        produced until the next stage pulls them.
+        ``req.refs`` (name -> GlobalRef) and ``req.values`` (name ->
+        plain value) merge into the args dict the code function receives.
+        Names in ``req.decode_args`` are reference arguments whose object
+        bytes are decoded into plain values first (how pipeline
+        intermediates arrive).  With ``req.materialize`` the result is
+        written into a fresh local object and only its descriptor is
+        returned — the §5 query-planning pattern: intermediates stay
+        where they were produced until the next stage pulls them.
 
-        With ``proxied=True`` (MODE_PROXIED) reference arguments are
-        bound as :class:`ObjectProxy` instances instead of bare refs —
-        nothing is staged for them — and, when ``prefetch`` names a
-        budget, a reachability walk is spawned from the argument roots
-        *before* execution starts, so FOT-reachable objects stream in
+        In ``MODE_PROXIED`` reference arguments are bound as
+        :class:`ObjectProxy` instances instead of bare refs — nothing is
+        staged for them — and, when ``req.prefetch`` names a budget, a
+        reachability walk is spawned from the argument roots *before*
+        execution starts, so FOT-reachable objects stream in
         concurrently with the computation (PROXIES.md).
 
-        With ``isolated=True`` (MODE_ISOLATED) the invocation's object
-        set is reserved up front in canonical oid order — concurrent
-        isolated invocations over overlapping sets serialize
-        deterministically instead of deadlocking — then, after staging,
-        this node claims ownership of every data input so no interleaved
-        invalidation or replica write can race the execution (the
-        interference-free model of Schill et al.).
+        In ``MODE_ISOLATED`` the invocation's object set is reserved up
+        front in canonical oid order — concurrent isolated invocations
+        over overlapping sets serialize deterministically instead of
+        deadlocking — then, after staging, this node claims ownership of
+        every data input so no interleaved invalidation or replica write
+        can race the execution (the interference-free model of Schill et
+        al.).
 
-        ``span`` is the invocation's root span; when given, the
-        stage_in / queue / compute phases are recorded under it (spans
-        left open by a failure are error-finished by the invoker).
+        The stage_in / queue / compute phases are recorded under
+        ``span``, the invocation's root span; a failure error-finishes
+        the phase it interrupted.
         """
-        reserved = sorted({ref.oid for ref in refs.values()}) if isolated else []
+        reserved = (sorted({ref.oid for ref in req.refs.values()})
+                    if req.mode == m.MODE_ISOLATED else [])
         if reserved:
             yield from self.runtime.reservations.acquire(reserved)
+        rec = self.runtime.spans
+        stage_span = phase = rec.start(SPAN_STAGE_IN, parent=span,
+                                       node=self.name)
         try:
-            result = yield from self._stage_and_execute_inner(
-                code_oid, stage, refs, values, compute_us, decode_args,
-                materialize, span, proxied, prefetch, reserved)
-        finally:
-            if reserved:
-                self.runtime.reservations.release(reserved)
-        return result
-
-    def _stage_and_execute_inner(self, code_oid, stage, refs, values,
-                                 compute_us, decode_args, materialize, span,
-                                 proxied, prefetch, reserved):
-        from ..sim import AllOf
-
-        rec = self.runtime.spans if span is not None else None
-        stage_span = (rec.start(SPAN_STAGE_IN, parent=span, node=self.name)
-                      if rec is not None else None)
-        staged = 0
-        missing = [oid for oid in stage if oid not in self.space]
-        if missing:
-            fetches = [
-                self.sim.spawn(self.fetch_object(oid, span=stage_span),
-                               name=f"stage-{oid.short()}")
-                for oid in missing
-            ]
-            yield AllOf(fetches)
-            staged += len(missing)
-        args: Dict[str, Any] = dict(values)
-        args.update(refs)
-        for name in decode_args:
-            ref = refs[name]
-            if ref.oid not in self.space:
-                yield self.sim.spawn(self.fetch_object(ref.oid, span=stage_span),
-                                     name=f"decode-{ref.oid.short()}")
-                staged += 1
-            obj = self.space.get(ref.oid)
-            args[name] = decode(obj.read(0, obj.size))
-        for oid in reserved:
-            # Interference-free execution: become the sole replica
-            # holder, so no other node's copy (or proxy image) can be
-            # read or written while this invocation runs — the
-            # reservation keeps competing isolated invocations out.
-            self.runtime.claim_ownership(oid, self.name)
-            self.tracer.count("node.isolated_claim")
-        if proxied:
-            proxy_roots = [ref for name, ref in refs.items()
-                           if name not in decode_args]
-            for name, ref in refs.items():
-                if name not in decode_args:
-                    args[name] = self.proxies.proxy(ref)
-            if prefetch is not None:
-                self.proxies.start_prefetch(proxy_roots, budget=prefetch)
-        compute_span = None
-        if rec is not None:
+            staged = yield from self.fetch_all(req.stage, stage_span)
+            args: Dict[str, Any] = dict(req.values)
+            args.update(req.refs)
+            for name in req.decode_args:
+                oid = req.refs[name].oid
+                staged += yield from self.fetch_all([oid], stage_span)
+                obj = self.space.get(oid)
+                args[name] = decode(obj.read(0, obj.size))
+            for oid in reserved:
+                # Interference-free execution: become the sole replica
+                # holder, so no other node's copy (or proxy image) can be
+                # read or written while this invocation runs — the
+                # reservation keeps competing isolated invocations out.
+                self.runtime.claim_ownership(oid, self.name)
+                self.tracer.count("node.isolated_claim")
+            if req.mode == m.MODE_PROXIED:
+                roots = []
+                for name, ref in req.refs.items():
+                    if name not in req.decode_args:
+                        args[name] = self.proxies.proxy(ref)
+                        roots.append(ref)
+                if req.prefetch is not None:
+                    self.proxies.start_prefetch(roots, budget=req.prefetch)
             rec.finish(stage_span, objects=staged)
             # Zero-width queue point: what the executor's load looked
             # like the instant this job reached the front.
             rec.start(SPAN_QUEUE, parent=span, node=self.name,
                       active_jobs=self.active_jobs).finish()
-            compute_span = rec.start(SPAN_COMPUTE, parent=span,
-                                     node=self.name, compute_us=compute_us)
-        result = yield from self.execute(code_oid, args, compute_us)
-        if materialize:
+            phase = rec.start(SPAN_COMPUTE, parent=span, node=self.name,
+                              compute_us=req.compute_us)
+            result = yield from self.execute(req.code, args, req.compute_us)
+            if not req.materialize:
+                rec.finish(phase)
+                return result
             wire = encode(result)
             out = self.runtime.create_object(self.name, size=max(len(wire), 1),
                                              label="intermediate")
             out.write(0, wire)
             self.tracer.count("node.materialized")
-            if compute_span is not None:
-                rec.finish(compute_span, materialized=True)
+            rec.finish(phase, materialized=True)
             return {"__materialized__": str(out.oid), "size": out.size}
-        if compute_span is not None:
-            rec.finish(compute_span)
-        return result
+        except Exception as exc:
+            # Close the failed phase here: the invocation may fail over
+            # and complete, and its trace must not keep an open span.
+            # (The invoker may already have closed it after giving up.)
+            if not phase.finished:
+                rec.finish(phase, error=type(exc).__name__)
+            raise
+        finally:
+            if reserved:
+                self.runtime.reservations.release(reserved)
 
     # -- execution ----------------------------------------------------------
     def execute(self, code_oid: ObjectID, args: Dict[str, Any], compute_us: float):
@@ -551,6 +475,26 @@ class ClusterNode:
         return result
 
     # -- client-side primitives ------------------------------------------------
+    def fetch_all(self, oids: Iterable[ObjectID], span=None):
+        """Process: make every object in ``oids`` resident here, fetching
+        the missing ones in parallel; returns how many were fetched.
+
+        Raises the first failed fetch's error (in ``oids`` order) once
+        every fetch has finished — the caller must not run against an
+        object that never arrived.  ``span`` parents the fetch spans.
+        """
+        missing = [oid for oid in oids if oid not in self.space]
+        if missing:
+            # AllOf hands a failed child back as its value, not raised.
+            outcomes = yield AllOf([
+                self.sim.spawn(self.fetch_object(oid, span=span),
+                               name=f"fetch-{oid.short()}")
+                for oid in missing])
+            for outcome in outcomes:
+                if isinstance(outcome, BaseException):
+                    raise outcome
+        return len(missing)
+
     def fetch_object(self, oid: ObjectID, holder: Optional[str] = None,
                      span=None):
         """Process: pull a full object image into our space.
@@ -568,17 +512,8 @@ class ClusterNode:
             if fetch_span is not None:
                 fetch_span.finish(cached=True)
             return self.space.get(oid)
-        if holder is not None:
-            sources = [holder]
-        else:
-            # Tie-break equidistant holders by name: a bare distance key
-            # would fall back to set-iteration order, which varies with
-            # hash randomization across processes.
-            sources = sorted(
-                self.runtime.holders(oid),
-                key=lambda h: (self.runtime.network.hop_distance(h, self.name), h))
         last_error = None
-        for source in sources:
+        for source in self._sources(oid, holder):
             if source == self.name:
                 continue
             req_id, future = self.calls.open()
@@ -614,17 +549,8 @@ class ClusterNode:
                     holder: Optional[str] = None):
         """Process: demand-read a range of a remote object, failing over
         across replicas on denial, staleness, or holder crash."""
-        if holder is not None:
-            sources = [holder]
-        else:
-            # Tie-break equidistant holders by name: a bare distance key
-            # would fall back to set-iteration order, which varies with
-            # hash randomization across processes.
-            sources = sorted(
-                self.runtime.holders(oid),
-                key=lambda h: (self.runtime.network.hop_distance(h, self.name), h))
         last_error = None
-        for source in sources:
+        for source in self._sources(oid, holder):
             req_id, future = self.calls.open()
             self.host.send(Packet(
                 kind=m.KIND_READ_REQ, src=self.name, dst=source, oid=oid,
@@ -726,11 +652,9 @@ class ExecutionContext:
         self.node.runtime.policies.check_write(ref.oid, self.node.name)
         at = ref.offset + offset
         if ref.oid in self.node.space:
-            self.local_reads += 1
             yield Timeout(0.0)
             self.node.space.get(ref.oid).write(at, data)
             return True
-        self.remote_reads += 1
         ok = yield from self.node.remote_write(ref.oid, at, data)
         return ok
 

@@ -478,7 +478,7 @@ class TestAdmissionIntegration:
         assert oks, outcomes
         assert rejected, outcomes
         assert all(o[1] == 500.0 for o in rejected)
-        assert runtime.node("n1").tracer.counters.get("bus.rejected") > 0
+        assert runtime.node("n1").tracer.counters.get("node.admission.rejected") > 0
 
     def test_rejection_is_not_a_timeout_and_does_not_suspect(self):
         policy = AdmissionPolicy(max_inflight=1, retry_after_us=500.0)

@@ -34,8 +34,11 @@ from repro.obs.keys import (
     K_INVOKE_DEADLINE,
     K_INVOKE_FAILOVER,
     K_INVOKE_RETRIES,
+    K_PLACED_AT,
 )
 from repro.runtime import (
+    MODE_LAZY,
+    MODE_PROXIED,
     FetchTimeout,
     GlobalSpaceRuntime,
     InvokeTimeout,
@@ -428,6 +431,112 @@ class TestResilientInvoke:
         second = policy.backoff_us(2, sim.rng)
         assert 900.0 <= first <= 1_100.0
         assert 1_800.0 <= second <= 2_200.0
+
+
+# ---------------------------------------------------------------------------
+# a data source dies under the executor
+# ---------------------------------------------------------------------------
+
+
+def _invoke_error(sim, runtime, code_ref, blob_ref, **kwargs):
+    """Invoke ``code_ref`` over ``blob_ref`` from n0; return the
+    exception the invocation raised, or None if it completed."""
+
+    def proc():
+        try:
+            yield sim.spawn(runtime.invoke(
+                "n0", code_ref, data_refs={"blob": blob_ref},
+                retry=FAST_RETRY, **kwargs))
+        except Exception as exc:
+            return exc
+        return None
+
+    return sim.run_process(proc())
+
+
+class TestFailedDataSource:
+    """A data source that times out under the executor ends the attempt
+    with a retryable verdict — on the invoker's own node exactly as on a
+    remote executor — and the code never runs against an object that
+    did not arrive."""
+
+    @pytest.mark.parametrize("executor", ["n0", "n2"])
+    def test_failed_stage_in_does_not_run_the_code(self, executor):
+        sim, net, registry, runtime = make_cluster(_seed(61), n_hosts=3)
+        _, blob_ref = make_blob(runtime, holders=("n1",))
+        _, code_ref = runtime.create_code("n0", "read_blob", text_size=128)
+        net.host("n1").fail()
+
+        error = _invoke_error(sim, runtime, code_ref, blob_ref,
+                              candidates=[executor])
+        assert type(error) is InvokeTimeout
+        counters = runtime.node(executor).tracer.counters
+        assert counters.get("node.fetch_timeout") == 1
+        # The failed fetch ended the attempt: no execution, and no
+        # second timeout paid by a demand read of the missing object.
+        assert counters.get("node.exec") == 0
+        assert counters.get("node.read_timeout") == 0
+
+    @pytest.mark.parametrize("executor", ["n0", "n2"])
+    def test_proxy_dereference_timeout_is_retryable(self, executor):
+        sim, net, registry, runtime = make_cluster(_seed(62), n_hosts=3)
+
+        @registry.register("read_proxy")
+        def read_proxy(ctx, args):
+            data = yield from args["blob"].read(0, 5)
+            return data
+
+        _, blob_ref = make_blob(runtime, holders=("n1",))
+        _, code_ref = runtime.create_code("n0", "read_proxy", text_size=128)
+        net.host("n1").fail()
+
+        error = _invoke_error(sim, runtime, code_ref, blob_ref,
+                              mode=MODE_PROXIED, candidates=[executor])
+        assert type(error) is InvokeTimeout
+        assert "retryable" in str(error)
+        assert not runtime.health.is_suspected(executor)
+
+    def test_local_data_timeout_fails_over(self):
+        # The first placement is the invoker itself; its demand read
+        # times out.  That attempt must fail over to n2 like a remote
+        # executor's retryable NACK does, not escape as FetchTimeout.
+        sim, net, registry, runtime = make_cluster(_seed(63))
+        _, blob_ref = make_blob(runtime, holders=("n1",))
+        _, code_ref = runtime.create_code("n0", "read_blob", text_size=128)
+        net.host("n1").fail()
+
+        error = _invoke_error(sim, runtime, code_ref, blob_ref,
+                              mode=MODE_LAZY, candidates=["n0", "n2"])
+        assert type(error) is InvokeTimeout
+        assert "after 2 attempt(s)" in str(error)
+        assert runtime.tracer.counters[K_INVOKE_RETRIES] == 1
+        assert runtime.tracer.counters[K_PLACED_AT + "n0"] == 1
+        assert runtime.tracer.counters[K_PLACED_AT + "n2"] == 1
+        # Both executors answered; only the data source is suspected.
+        assert runtime.health.suspected() == {"n1"}
+
+    def test_failed_over_attempt_leaves_no_open_span(self):
+        # n0's own requests time out at once, so the first (local)
+        # attempt fails on its data source and n2 completes the call.
+        sim, net, registry, runtime = make_cluster(_seed(64))
+        _, blob_ref = make_blob(runtime, holders=("n1",))
+        _, code_ref = runtime.create_code("n0", "read_blob", text_size=128)
+        runtime.node("n0").request_timeout_us = 1.0
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref, data_refs={"blob": blob_ref},
+                candidates=["n0", "n2"], retry=FAST_RETRY))
+            return result
+
+        result = sim.run_process(proc())
+        assert result.value == b"hello"
+        assert result.executed_at == "n2"
+        spans = runtime.spans.spans(result.invoke_id)
+        assert all(span.finished for span in spans)
+        stage_errors = [span.tags.get("error") for span in spans
+                        if span.name == "stage_in"]
+        assert stage_errors == ["FetchTimeout", None]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.core import FunctionRegistry, GlobalRef, IDAllocator
+from repro.core.proxies import ObjectProxy
 from repro.net import build_star
 from repro.runtime import (
     GlobalSpaceRuntime,
     MODE_EAGER,
+    MODE_ISOLATED,
     MODE_LAZY,
+    MODE_PROXIED,
     RuntimeError_,
 )
 from repro.sim import Simulator
@@ -468,3 +471,77 @@ class TestReplicationApi:
 
         result = sim.run_process(proc())
         assert result.value == b"STAYS"
+
+
+class TestExecutionContextCounters:
+    def test_writes_are_not_counted_as_reads(self):
+        sim, net, registry, runtime = make_cluster()
+
+        @registry.register("write_only")
+        def write_only(ctx, args):
+            yield ctx.write(args["here"], b"L")
+            yield ctx.write(args["there"], b"R")
+            return [ctx.local_reads, ctx.remote_reads]
+
+        here = runtime.create_object("n0", size=64)
+        there = runtime.create_object("n1", size=64)
+        _, code_ref = runtime.create_code("n0", "write_only", text_size=128)
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref,
+                data_refs={"here": GlobalRef(here.oid, 0, "write"),
+                           "there": GlobalRef(there.oid, 0, "write")},
+                mode=MODE_LAZY, candidates=["n0"]))
+            return result
+
+        result = sim.run_process(proc())
+        assert result.value == [0, 0]
+        assert here.read(0, 1) == b"L"
+        assert there.read(0, 1) == b"R"
+
+
+class TestLocalRemoteParity:
+    """The same invocation forced onto the invoker and forced onto
+    another node returns the same value through the same span phases;
+    only the remote run has a request (wire) leg."""
+
+    @staticmethod
+    def _run(mode, executor):
+        sim, net, registry, runtime = make_cluster(seed=7)
+
+        @registry.register("greet")
+        def greet(ctx, args):
+            blob = args["blob"]
+            if isinstance(blob, ObjectProxy):
+                data = yield from blob.read(0, 5)
+            else:
+                data = yield ctx.read(blob, 0, 5)
+            return bytes(data).decode() + args["suffix"]
+
+        blob = runtime.create_object("n3", size=4096)
+        blob.write(0, b"hello")
+        _, code_ref = runtime.create_code("n3", "greet", text_size=256)
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref,
+                data_refs={"blob": GlobalRef(blob.oid, 0, "read")},
+                values={"suffix": "!"}, mode=mode, candidates=[executor]))
+            return result
+
+        result = sim.run_process(proc())
+        assert result.executed_at == executor
+        spans = runtime.spans.spans(result.invoke_id)
+        assert all(span.finished for span in spans)
+        return result.value, [span.name for span in spans]
+
+    @pytest.mark.parametrize(
+        "mode", [MODE_EAGER, MODE_LAZY, MODE_PROXIED, MODE_ISOLATED])
+    def test_same_value_and_phases(self, mode):
+        local_value, local_spans = self._run(mode, "n0")
+        remote_value, remote_spans = self._run(mode, "n1")
+        assert local_value == remote_value == "hello!"
+        assert "request" not in local_spans
+        assert "request" in remote_spans
+        assert [name for name in remote_spans if name != "request"] == local_spans
