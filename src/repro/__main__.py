@@ -28,14 +28,12 @@ from typing import List, Optional
 _EXAMPLES = ("quickstart", "pipeline")
 
 
-def _build_cluster(seed: int):
-    """The shared 3-host star cluster with a blob on n2 and code on n0."""
-    from repro import (FunctionRegistry, GlobalRef, GlobalSpaceRuntime,
-                       Simulator, build_star)
+def _demo_refs(runtime):
+    """Register the demo functions on a 3-node ``n*`` cluster and home a
+    1 MiB blob on n2; returns the refs that name it."""
+    from repro import GlobalRef
 
-    sim = Simulator(seed=seed)
-    net = build_star(sim, 3, prefix="n")
-    registry = FunctionRegistry()
+    registry = runtime.registry
 
     @registry.register("selfcheck")
     def selfcheck(ctx, args):
@@ -51,13 +49,9 @@ def _build_cluster(seed: int):
     def consume(ctx, args):
         return len(args["part"])
 
-    runtime = GlobalSpaceRuntime(net, registry)
-    for name in ("n0", "n1", "n2"):
-        runtime.add_node(name)
     blob = runtime.create_object("n2", size=1 << 20)
     blob.write(0, b"hello")
-    refs = {"blob": GlobalRef(blob.oid, 0, "read")}
-    return sim, net, runtime, refs
+    return {"blob": GlobalRef(blob.oid, 0, "read")}
 
 
 def _invoke_once(sim, runtime, code_ref, refs):
@@ -69,13 +63,15 @@ def _invoke_once(sim, runtime, code_ref, refs):
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     import repro
+    from repro.cluster import star_cluster
     # Imported at call time so tests can monkeypatch the sweep.
     from repro.discovery import SCHEME_CONTROLLER, SCHEME_E2E, run_fig2_point
 
     print(f"repro {repro.__version__} self-check (seed {args.seed})")
     failures = 0
 
-    sim, _net, runtime, refs = _build_cluster(args.seed)
+    c = star_cluster(args.seed, 3, prefix="n", nodes=3)
+    sim, runtime, refs = c.sim, c.runtime, _demo_refs(c.runtime)
     _, code_ref = runtime.create_code("n0", "selfcheck", text_size=256)
     result = _invoke_once(sim, runtime, code_ref, refs)
     if result.value == "hello":
@@ -106,10 +102,12 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from repro.cluster import star_cluster
     from repro.obs import snapshot_to_jsonl
     from repro.sim.trace import percentile
 
-    sim, net, runtime, refs = _build_cluster(args.seed)
+    c = star_cluster(args.seed, 3, prefix="n", nodes=3)
+    sim, net, runtime, refs = c.sim, c.net, c.runtime, _demo_refs(c.runtime)
     _, code_ref = runtime.create_code("n0", "selfcheck", text_size=256)
     _invoke_once(sim, runtime, code_ref, refs)
     snapshot = net.metrics.snapshot()
@@ -133,10 +131,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro import GlobalRef
+    from repro.cluster import star_cluster
     from repro.core.objectid import ObjectID
     from repro.obs import write_chrome_trace
 
-    sim, net, runtime, refs = _build_cluster(args.seed)
+    c = star_cluster(args.seed, 3, prefix="n", nodes=3)
+    sim, net, runtime, refs = c.sim, c.net, c.runtime, _demo_refs(c.runtime)
     if args.example == "quickstart":
         _, code_ref = runtime.create_code("n0", "selfcheck", text_size=256)
         results = [_invoke_once(sim, runtime, code_ref, refs)]

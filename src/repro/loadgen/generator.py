@@ -469,7 +469,6 @@ class LoadGenerator:
     # -- reporting ------------------------------------------------------------
     def _settle(self) -> None:
         """Emit the percentile samples into each tenant's tracer."""
-        now = self.sim.now
         for state in self._states:
             kinds = [("all", state.overall)]
             kinds += [(op, state.by_op[op]) for op in sorted(state.by_op)]
@@ -477,11 +476,11 @@ class LoadGenerator:
                 if hist.count == 0:
                     continue
                 state.tracer.sample(f"loadgen.p50_us.{op}",
-                                    hist.percentile(50.0), now)
+                                    hist.percentile(50.0))
                 state.tracer.sample(f"loadgen.p99_us.{op}",
-                                    hist.percentile(99.0), now)
+                                    hist.percentile(99.0))
                 state.tracer.sample(f"loadgen.p999_us.{op}",
-                                    hist.percentile(99.9), now)
+                                    hist.percentile(99.9))
 
     def report(self) -> LoadReport:
         """The current :class:`LoadReport` (also returned by :meth:`run`)."""

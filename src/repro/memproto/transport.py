@@ -230,8 +230,7 @@ class _TransportBase:
             tx.queued_at[seq] = self.sim.now
             tx.backlog.append(packet)
             self.tracer.count("transport.frame.tx")
-            self.tracer.sample("transport.frame.msgs", float(len(entries)),
-                               self.sim.now)
+            self.tracer.sample("transport.frame.msgs", float(len(entries)))
         self._pump(dst, tx)
 
     # -- sender side: the window --------------------------------------------
@@ -250,8 +249,7 @@ class _TransportBase:
             # transport.delivery_us measures the wire (send -> ack), not
             # the backlog; the backlog wait is its own signal.
             tx.send_times[seq] = self.sim.now
-            self.tracer.sample("transport.queue_us", self.sim.now - queued,
-                               self.sim.now)
+            self.tracer.sample("transport.queue_us", self.sim.now - queued)
         timer = self.sim.schedule(self.rto_us, self._on_timeout, dst, seq)
         tx.inflight[seq] = (packet, timer)
         self.tracer.count("transport.tx")
@@ -336,7 +334,7 @@ class _TransportBase:
             sent_at = tx.send_times.pop(seq, None)
             if sent_at is not None:
                 self.tracer.sample("transport.delivery_us",
-                                   self.sim.now - sent_at, self.sim.now)
+                                   self.sim.now - sent_at)
             self.tracer.count("transport.acked")
             self.tracer.count("transport.sacked")
             self._on_ack_accounting(peer)
@@ -367,7 +365,7 @@ class _TransportBase:
             sent_at = tx.send_times.pop(seq, None)
             if sent_at is not None:
                 self.tracer.sample("transport.delivery_us",
-                                   self.sim.now - sent_at, self.sim.now)
+                                   self.sim.now - sent_at)
             self.tracer.count("transport.acked")
             self._on_ack_accounting(peer)
         if tx.recover >= 0:

@@ -697,7 +697,7 @@ class GlobalSpaceRuntime:
                     self.spans.finish(span, error=type(exc).__name__)
             raise
         latency = self.sim.now - start
-        self.tracer.sample(K_INVOKE_US, latency, self.sim.now)
+        self.tracer.sample(K_INVOKE_US, latency)
         if attempt > 0:
             self.spans.finish(root, latency_us=latency,
                               executed_at=decision.node,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List
 
 __all__ = ["Counter", "SampleSeries", "Tracer", "NullTracer", "NULL_TRACER",
            "summarize", "percentile"]
@@ -124,25 +124,18 @@ class Counter:
 
 
 class SampleSeries:
-    """A named collection of float samples, optionally timestamped."""
+    """A named collection of float samples."""
 
     def __init__(self) -> None:
         self._samples: Dict[str, List[float]] = defaultdict(list)
-        self._stamped: Dict[str, List[Tuple[float, float]]] = defaultdict(list)
 
-    def record(self, key: str, value: float, time: Optional[float] = None) -> None:
-        """Append one sample (optionally timestamped)."""
+    def record(self, key: str, value: float) -> None:
+        """Append one sample."""
         self._samples[key].append(value)
-        if time is not None:
-            self._stamped[key].append((time, value))
 
     def samples(self, key: str) -> List[float]:
         """Recorded samples for ``key`` (a copy)."""
         return list(self._samples.get(key, []))
-
-    def timeline(self, key: str) -> List[Tuple[float, float]]:
-        """(time, value) pairs recorded for ``key``."""
-        return list(self._stamped.get(key, []))
 
     def summary(self, key: str) -> Summary:
         """Statistical summary of ``key``'s samples."""
@@ -155,7 +148,6 @@ class SampleSeries:
     def reset(self) -> None:
         """Clear all recorded state."""
         self._samples.clear()
-        self._stamped.clear()
 
 
 @dataclass
@@ -184,9 +176,9 @@ class Tracer:
         """Increment the named counter."""
         self.counters.incr(key, amount)
 
-    def sample(self, key: str, value: float, time: Optional[float] = None) -> None:
+    def sample(self, key: str, value: float) -> None:
         """Record one sample under ``key``."""
-        self.series.record(key, value, time)
+        self.series.record(key, value)
 
     def event(self, time: float, category: str, **detail: Any) -> None:
         """Record a structured trace event."""
@@ -218,7 +210,7 @@ class NullTracer(Tracer):
     def count(self, key: str, amount: int = 1) -> None:
         pass
 
-    def sample(self, key: str, value: float, time: Optional[float] = None) -> None:
+    def sample(self, key: str, value: float) -> None:
         pass
 
     def event(self, time: float, category: str, **detail: Any) -> None:

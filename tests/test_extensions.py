@@ -4,22 +4,19 @@ estimates, and AnyOf timer hygiene."""
 
 import pytest
 
+from repro.cluster import star_cluster
 from repro.core import CostModel, IDAllocator
-from repro.memproto import CoherenceAgent, PERM_MODIFIED, PERM_SHARED
+from repro.memproto import PERM_MODIFIED, PERM_SHARED
 from repro.net import Network, Packet, build_star
-from repro.sim import AnyOf, Future, Simulator, Timeout
+from repro.sim import AnyOf, Future, Timeout
 
 
 class TestCoherenceUpgrade:
     def _cluster(self, seed=81):
-        sim = Simulator(seed=seed)
-        net = build_star(sim, 3)
-        home_map = {}
-        agents = {f"h{i}": CoherenceAgent(net.host(f"h{i}"), home_map)
-                  for i in range(3)}
+        c = star_cluster(seed, 3, agents=3)
         oid = IDAllocator(seed=seed).allocate()
-        agents["h0"].host_object(oid, b"base-data-here--")
-        return sim, agents, oid
+        c.agents["h0"].host_object(oid, b"base-data-here--")
+        return c.sim, c.agents, oid
 
     def test_shared_copy_upgrades_without_data(self):
         sim, agents, oid = self._cluster()
@@ -208,14 +205,10 @@ class TestAnyOfTimerHygiene:
 
 class TestCoherenceDowngrade:
     def _cluster(self, seed=85):
-        sim = Simulator(seed=seed)
-        net = build_star(sim, 3)
-        home_map = {}
-        agents = {f"h{i}": CoherenceAgent(net.host(f"h{i}"), home_map)
-                  for i in range(3)}
+        c = star_cluster(seed, 3, agents=3)
         oid = IDAllocator(seed=seed).allocate()
-        agents["h0"].host_object(oid, b"shared-state----")
-        return sim, agents, oid
+        c.agents["h0"].host_object(oid, b"shared-state----")
+        return c.sim, c.agents, oid
 
     def test_reader_downgrades_owner_instead_of_invalidating(self):
         sim, agents, oid = self._cluster()

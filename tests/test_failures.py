@@ -11,10 +11,11 @@ job): every seed below is shifted by that offset.
 
 import os
 
-from repro.core import FunctionRegistry, GlobalRef, IDAllocator, ObjectSpace
+from repro.cluster import star_cluster
+from repro.core import GlobalRef, IDAllocator, ObjectSpace
 from repro.discovery import E2EResolver, ObjectHome
 from repro.net import build_paper_topology, build_star
-from repro.runtime import GlobalSpaceRuntime, RuntimeError_
+from repro.runtime import RuntimeError_
 from repro.sim import Simulator, Timeout
 
 SEED_OFFSET = int(os.environ.get("REPRO_SEED_OFFSET", "0"))
@@ -119,14 +120,10 @@ class TestDiscoveryUnderFailure:
 
 
 def make_cluster(seed=8):
-    sim = Simulator(seed=_seed(seed))
-    net = build_star(sim, 4, prefix="n")
-    registry = FunctionRegistry()
-    runtime = GlobalSpaceRuntime(net, registry)
-    for i in range(4):
-        node = runtime.add_node(f"n{i}")
+    c = star_cluster(_seed(seed), 4, prefix="n", nodes=4)
+    for node in c.runtime.nodes.values():
         node.request_timeout_us = 2_000.0  # fast failover in tests
-    return sim, net, registry, runtime
+    return c.sim, c.net, c.runtime.registry, c.runtime
 
 
 class TestRuntimeFailover:

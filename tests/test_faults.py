@@ -18,7 +18,8 @@ import os
 
 import pytest
 
-from repro.core import FunctionRegistry, GlobalRef
+from repro.cluster import star_cluster
+from repro.core import GlobalRef
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -40,7 +41,6 @@ from repro.runtime import (
     MODE_LAZY,
     MODE_PROXIED,
     FetchTimeout,
-    GlobalSpaceRuntime,
     InvokeTimeout,
     RetryPolicy,
 )
@@ -273,21 +273,17 @@ class TestHealthLedger:
 
 
 def make_cluster(seed, n_hosts=4, speeds=None):
-    sim = Simulator(seed=seed)
-    net = build_star(sim, n_hosts, prefix="n")
-    registry = FunctionRegistry()
+    c = star_cluster(seed, n_hosts, prefix="n", nodes=n_hosts, speeds=speeds)
+    registry, runtime = c.runtime.registry, c.runtime
 
     @registry.register("read_blob")
     def read_blob(ctx, args):
         data = yield ctx.read(args["blob"], 0, 5)
         return data
 
-    runtime = GlobalSpaceRuntime(net, registry)
-    for i in range(n_hosts):
-        name = f"n{i}"
-        node = runtime.add_node(name, speed=(speeds or {}).get(name, 1.0))
+    for node in runtime.nodes.values():
         node.request_timeout_us = 2_000.0  # fast failover in tests
-    return sim, net, registry, runtime
+    return c.sim, c.net, registry, runtime
 
 
 def make_blob(runtime, holders, size=1 << 16):
@@ -632,13 +628,10 @@ class TestRemoteWriteDeadline:
     def test_store_tenant_accounting_balances_across_crash_window(self):
         # Every store offered while the holder is down must end as
         # completed or failed: offered == completed + dropped + failed.
-        sim = Simulator(seed=_seed(52))
-        net = build_star(sim, 4, default_bandwidth_gbps=0.05,
+        c = star_cluster(_seed(52), 4, nodes=4, default_bandwidth_gbps=0.05,
                          default_latency_us=2.0)
-        runtime = GlobalSpaceRuntime(net)
-        for i in range(4):
-            runtime.add_node(f"h{i}")
-        FaultInjector(net, FaultPlan().crash_window(
+        runtime = c.runtime
+        FaultInjector(c.net, FaultPlan().crash_window(
             "h1", 20_000.0, 400_000.0)).arm()
         tenant = TenantSpec(name="w", client="h0", rate_per_sec=2_000.0,
                             mix=(("store", 1.0),))
@@ -669,17 +662,11 @@ class TestCoherenceCrashRaces:
 
     def _cluster(self, seed):
         from repro.core import IDAllocator
-        from repro.memproto import CoherenceAgent
-        from repro.net import build_star
 
-        sim = Simulator(seed=seed)
-        net = build_star(sim, 3)
-        home_map = {}
-        agents = {f"h{i}": CoherenceAgent(net.host(f"h{i}"), home_map)
-                  for i in range(3)}
+        c = star_cluster(seed, 3, agents=3)
         oid = IDAllocator(seed=seed).allocate()
-        agents["h0"].host_object(oid, b"0" * 64)
-        return sim, net, agents, oid
+        c.agents["h0"].host_object(oid, b"0" * 64)
+        return c.sim, c.net, c.agents, oid
 
     def _race(self, seed, crash_host, from_us, until_us):
         sim, net, agents, oid = self._cluster(seed)

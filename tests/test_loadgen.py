@@ -15,13 +15,11 @@ import random
 
 import pytest
 
+from repro.cluster import star_cluster
 from repro.loadgen import (DeterministicArrivals, LatencyHistogram,
                            LoadGenerator, ParetoSampler, PoissonArrivals,
                            TenantSpec, UniformSampler, ZipfSampler,
                            make_arrivals, make_popularity)
-from repro.net.topology import build_star
-from repro.runtime.engine import GlobalSpaceRuntime
-from repro.sim import Simulator
 
 SEED_OFFSET = int(os.environ.get("REPRO_SEED_OFFSET", "0"))
 
@@ -31,13 +29,10 @@ def seed(n: int) -> int:
 
 
 def build_cluster(seed_value, n_hosts=4, bandwidth_gbps=0.05):
-    sim = Simulator(seed=seed_value)
-    net = build_star(sim, n_hosts, default_bandwidth_gbps=bandwidth_gbps,
+    c = star_cluster(seed_value, n_hosts, nodes=n_hosts,
+                     default_bandwidth_gbps=bandwidth_gbps,
                      default_latency_us=2.0)
-    runtime = GlobalSpaceRuntime(net)
-    for i in range(n_hosts):
-        runtime.add_node(f"h{i}")
-    return sim, runtime
+    return c.sim, c.runtime
 
 
 def run_mix(seed_value, rate=2_000.0, duration_us=100_000.0):

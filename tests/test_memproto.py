@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.cluster import star_cluster
 from repro.core import IDAllocator
 from repro.memproto import (
     CACHE_LINE_BYTES,
@@ -195,14 +196,10 @@ class TestTcpLikeTransport:
 
 class TestCoherence:
     def _cluster(self, n=3, seed=11):
-        sim = Simulator(seed=seed)
-        net = build_star(sim, n)
-        home_map = {}
-        agents = {f"h{i}": CoherenceAgent(net.host(f"h{i}"), home_map)
-                  for i in range(n)}
+        c = star_cluster(seed, n, agents=n)
         oid = IDAllocator(seed=seed).allocate()
-        agents["h0"].host_object(oid, b"0" * 64)
-        return sim, agents, oid
+        c.agents["h0"].host_object(oid, b"0" * 64)
+        return c.sim, c.agents, oid
 
     def test_remote_read_acquires_shared(self):
         sim, agents, oid = self._cluster()
@@ -557,11 +554,8 @@ class TestFrameBatching:
     def test_probe_fanout_coalesces_per_target(self):
         # A batched acquire for two objects both dirty at the same
         # sharer must send that sharer one probe packet, not two.
-        sim = Simulator(seed=_seed(36))
-        net = build_star(sim, 3)
-        home_map = {}
-        agents = {f"h{i}": CoherenceAgent(net.host(f"h{i}"), home_map)
-                  for i in range(3)}
+        c = star_cluster(_seed(36), 3, agents=3)
+        sim, agents = c.sim, c.agents
         alloc = IDAllocator(seed=_seed(36))
         oids = [alloc.allocate() for _ in range(2)]
         for oid in oids:
@@ -586,11 +580,8 @@ class TestFrameBatching:
         assert home["coherence.batch.multi_grant"] == 1
 
     def test_read_many_batches_acquires_and_grants(self):
-        sim = Simulator(seed=_seed(37))
-        net = build_star(sim, 2)
-        home_map = {}
-        home = CoherenceAgent(net.host("h0"), home_map)
-        reader = CoherenceAgent(net.host("h1"), home_map)
+        c = star_cluster(_seed(37), 2, agents=2)
+        sim, home, reader = c.sim, c.agents["h0"], c.agents["h1"]
         alloc = IDAllocator(seed=_seed(37))
         oids = []
         for i in range(8):
@@ -613,11 +604,8 @@ class TestFrameBatching:
         assert all(reader.cached_perm(oid) == PERM_SHARED for oid in oids)
 
     def test_read_many_mixes_cached_home_and_remote(self):
-        sim = Simulator(seed=_seed(38))
-        net = build_star(sim, 2)
-        home_map = {}
-        home = CoherenceAgent(net.host("h0"), home_map)
-        reader = CoherenceAgent(net.host("h1"), home_map)
+        c = star_cluster(_seed(38), 2, agents=2)
+        sim, home, reader = c.sim, c.agents["h0"], c.agents["h1"]
         alloc = IDAllocator(seed=_seed(38))
         oids = [alloc.allocate() for _ in range(4)]
         for i, oid in enumerate(oids):
@@ -643,14 +631,10 @@ class TestSatelliteBugfixes:
     pre-fix code)."""
 
     def _cluster(self, n=3, seed=None):
-        sim = Simulator(seed=_seed(40) if seed is None else seed)
-        net = build_star(sim, n)
-        home_map = {}
-        agents = {f"h{i}": CoherenceAgent(net.host(f"h{i}"), home_map)
-                  for i in range(n)}
+        c = star_cluster(_seed(40) if seed is None else seed, n, agents=n)
         oid = IDAllocator(seed=_seed(40)).allocate()
-        agents["h0"].host_object(oid, b"0" * 64)
-        return sim, agents, oid
+        c.agents["h0"].host_object(oid, b"0" * 64)
+        return c.sim, c.agents, oid
 
     # -- fix 1: out-of-range read/write must fault, not grow the object ----
     def test_home_write_out_of_range_raises(self):

@@ -2,22 +2,19 @@
 
 import pytest
 
-from repro.core import FunctionRegistry, GlobalRef
-from repro.net import build_star
+from repro.cluster import star_cluster
+from repro.core import GlobalRef
 from repro.runtime import (
-    GlobalSpaceRuntime,
     Plan,
     PlanStep,
     RuntimeError_,
     run_plan,
 )
-from repro.sim import Simulator
 
 
 def make_cluster(seed=91):
-    sim = Simulator(seed=seed)
-    net = build_star(sim, 4, prefix="n")
-    registry = FunctionRegistry()
+    c = star_cluster(seed, 4, prefix="n", nodes=4)
+    sim, registry, runtime = c.sim, c.runtime.registry, c.runtime
 
     @registry.register("double_all")
     def double_all(ctx, args):
@@ -36,9 +33,6 @@ def make_cluster(seed=91):
     def total(ctx, args):
         return sum(args["rows"])
 
-    runtime = GlobalSpaceRuntime(net, registry)
-    for i in range(4):
-        runtime.add_node(f"n{i}")
     code = {}
     for entry in ("double_all", "head", "read_rows", "total"):
         _, code[entry] = runtime.create_code("n0", entry, text_size=512)

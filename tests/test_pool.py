@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.cluster import star_cluster
 from repro.core import (
     CostModel,
     GlobalRef,
@@ -31,7 +32,6 @@ from repro.memproto import (
     SharedMemoryPool,
 )
 from repro.net import build_star
-from repro.sim import Simulator
 
 # Shift every seed below by REPRO_SEED_OFFSET so CI's fault-seed matrix
 # exercises disjoint seed ranges.
@@ -145,16 +145,8 @@ class TestPoolAccounting:
 
 class TestCoherenceIntegration:
     def _rack(self, seed, n_hosts=2, capacity=1 << 20):
-        sim = Simulator(seed=seed)
-        net = build_star(sim, n_hosts)
-        home_map = {}
-        agents = [CoherenceAgent(net.host(f"h{i}"), home_map)
-                  for i in range(n_hosts)]
-        pool = SharedMemoryPool(
-            sim, "rack0", [f"h{i}" for i in range(n_hosts)], capacity)
-        for agent in agents:
-            agent.attach_pool(pool)
-        return sim, agents, pool
+        c = star_cluster(seed, n_hosts, agents=n_hosts, pool_bytes=capacity)
+        return c.sim, list(c.agents.values()), c.pool
 
     def test_non_member_cannot_attach(self, sim):
         net = build_star(sim, 2)
@@ -301,21 +293,14 @@ class TestTierChoice:
 
 class TestRuntimeWiring:
     def test_attach_pool_makes_placement_tier_aware(self):
-        from repro import (FunctionRegistry, GlobalSpaceRuntime, Simulator,
-                           build_star)
+        c = star_cluster(_seed(21), 3, prefix="n", nodes=3)
+        sim, net, runtime = c.sim, c.net, c.runtime
 
-        sim = Simulator(seed=_seed(21))
-        net = build_star(sim, 3, prefix="n")
-        registry = FunctionRegistry()
-
-        @registry.register("bench")
+        @runtime.registry.register("bench")
         def bench_fn(ctx, args):
             data = yield ctx.read(args["blob"], 0, 5)
             return data.decode()
 
-        runtime = GlobalSpaceRuntime(net, registry)
-        for name in ("n0", "n1", "n2"):
-            runtime.add_node(name)
         blob = runtime.create_object("n2", size=2048)
         blob.write(0, b"hello")
         pool = SharedMemoryPool(sim, "rack0", ("n0", "n1", "n2"),
@@ -338,14 +323,8 @@ class TestRuntimeWiring:
         assert snap.get("core.placement:placement.tier.pool") == 1
 
     def test_oracle_ignores_unmapped_and_detached(self):
-        from repro import FunctionRegistry, GlobalSpaceRuntime, Simulator, \
-            build_star
-
-        sim = Simulator(seed=_seed(22))
-        net = build_star(sim, 2, prefix="n")
-        runtime = GlobalSpaceRuntime(net, FunctionRegistry())
-        runtime.add_node("n0")
-        runtime.add_node("n1")
+        c = star_cluster(_seed(22), 2, prefix="n", nodes=2)
+        sim, runtime = c.sim, c.runtime
         pool = SharedMemoryPool(sim, "rack0", ("n0",), capacity_bytes=4096)
         runtime.attach_pool(pool)
         oid = _oid()
@@ -359,8 +338,8 @@ class TestDeterminism:
     @staticmethod
     def _run_once(seed):
         """One pool-vs-transport comparison; returns every observable."""
-        sim = Simulator(seed=seed)
-        net = build_star(sim, 2)
+        c = star_cluster(seed, 2, agents=2, pool_bytes=1 << 16)
+        sim, net, pool = c.sim, c.net, c.pool
         server = LightweightTransport(net.host("h0"))
         client = LightweightTransport(net.host("h1"))
         done = {}
@@ -370,12 +349,7 @@ class TestDeterminism:
             lambda src, payload, nbytes: done.__setitem__("at", sim.now))
         client.send("h0", {"req": 1}, payload_bytes=64)
         sim.run()
-        home_map = {}
-        home = CoherenceAgent(net.host("h0"), home_map)
-        reader = CoherenceAgent(net.host("h1"), home_map)
-        pool = SharedMemoryPool(sim, "rack0", ("h0", "h1"), 1 << 16)
-        home.attach_pool(pool)
-        reader.attach_pool(pool)
+        home, reader = c.agents["h0"], c.agents["h1"]
         alloc = IDAllocator(seed=seed)
         oid = alloc.allocate()
         home.host_object(oid, bytes(4096))

@@ -16,13 +16,13 @@ import os
 
 import pytest
 
+from repro.cluster import star_cluster
 from repro.core import (
     PROXY_CACHED,
     PROXY_INVALIDATED,
     PROXY_OWNED,
     PROXY_PREFETCH_INFLIGHT,
     PROXY_UNRESOLVED,
-    FunctionRegistry,
     GlobalRef,
     IDAllocator,
     ObjectSpace,
@@ -30,9 +30,8 @@ from repro.core import (
     ProxyCache,
     ProxyError,
 )
-from repro.memproto import CoherenceAgent, CoherentProxyResolver, PERM_SHARED
-from repro.net import build_star
-from repro.runtime import MODE_LAZY, MODE_PROXIED, GlobalSpaceRuntime, RuntimeError_
+from repro.memproto import CoherentProxyResolver, PERM_SHARED
+from repro.runtime import MODE_LAZY, MODE_PROXIED, RuntimeError_
 from repro.sim import Simulator, Timeout
 from repro.workloads import build_linked_list, register_proxied_traversal
 
@@ -334,12 +333,8 @@ def _wait(process):
 
 
 def _coherent_cluster(seed, n=3):
-    sim = Simulator(seed=_seed(seed))
-    net = build_star(sim, n)
-    home_map = {}
-    agents = {f"h{i}": CoherenceAgent(net.host(f"h{i}"), home_map)
-              for i in range(n)}
-    return sim, agents
+    c = star_cluster(_seed(seed), n, agents=n)
+    return c.sim, c.agents
 
 
 def _host_chain(agents, home, n_objects, seed):
@@ -437,13 +432,8 @@ class TestCoherentResolver:
 
 
 def _runtime_cluster(seed, n=3):
-    sim = Simulator(seed=_seed(seed))
-    net = build_star(sim, n, prefix="n")
-    registry = FunctionRegistry()
-    runtime = GlobalSpaceRuntime(net, registry)
-    for i in range(n):
-        runtime.add_node(f"n{i}")
-    return sim, net, registry, runtime
+    c = star_cluster(_seed(seed), n, prefix="n", nodes=n)
+    return c.sim, c.net, c.runtime.registry, c.runtime
 
 
 class TestRuntimeBinding:

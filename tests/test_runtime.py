@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.cluster import star_cluster
 from repro.core import FunctionRegistry, GlobalRef, IDAllocator
 from repro.core.proxies import ObjectProxy
-from repro.net import build_star
 from repro.runtime import (
     GlobalSpaceRuntime,
     MODE_EAGER,
@@ -17,15 +17,8 @@ from repro.sim import Simulator
 
 
 def make_cluster(seed=1, n=4, speeds=None):
-    sim = Simulator(seed=seed)
-    net = build_star(sim, n, prefix="n")
-    registry = FunctionRegistry()
-    runtime = GlobalSpaceRuntime(net, registry)
-    speeds = speeds or {}
-    for i in range(n):
-        name = f"n{i}"
-        runtime.add_node(name, speed=speeds.get(name, 1.0))
-    return sim, net, registry, runtime
+    c = star_cluster(seed, n, prefix="n", nodes=n, speeds=speeds)
+    return c.sim, c.net, c.runtime.registry, c.runtime
 
 
 class TestClusterSetup:

@@ -2,18 +2,16 @@
 
 import pytest
 
+from repro.cluster import star_cluster
 from repro.core import (
     PUBLIC,
     AccessDenied,
-    FunctionRegistry,
     GlobalRef,
     ObjectACL,
     PolicyRegistry,
 )
 from repro.core.placement import PlacementError
-from repro.net import build_star
-from repro.runtime import GlobalSpaceRuntime, MODE_LAZY, RuntimeError_
-from repro.sim import Simulator
+from repro.runtime import MODE_LAZY, RuntimeError_
 
 
 def oid_of(n: int):
@@ -88,13 +86,8 @@ class TestPolicyRegistry:
 
 
 def make_cluster(seed=1):
-    sim = Simulator(seed=seed)
-    net = build_star(sim, 4, prefix="n")
-    registry = FunctionRegistry()
-    runtime = GlobalSpaceRuntime(net, registry)
-    for i in range(4):
-        runtime.add_node(f"n{i}")
-    return sim, registry, runtime
+    c = star_cluster(seed, 4, prefix="n", nodes=4)
+    return c.sim, c.runtime.registry, c.runtime
 
 
 class TestRuntimeEnforcement:
