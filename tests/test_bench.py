@@ -102,6 +102,15 @@ def test_load_document_round_trips_and_validates_schema(tmp_path):
         load_document(str(bad_path))
 
 
+def test_storm_rate_covers_all_three_phases():
+    # The storm's ops add up its unloaded, FIFO and WRR phases, so its
+    # simulated time must too: the rate cannot beat the offered rate.
+    name = "coherence.storm_fairness"
+    (spec,) = select(name)
+    record = run_quick(pattern=name)[name]
+    assert record["ops_per_sim_sec"] <= spec.quick["txn_rate"]
+
+
 # -- compare gating --------------------------------------------------------
 
 def degraded(document, factor=0.5):
