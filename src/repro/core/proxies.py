@@ -45,7 +45,7 @@ State machine (see PROXIES.md for the full transition table)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..sim import Future, Tracer
 from .objectid import ObjectID

@@ -16,12 +16,12 @@ The protocol rides on raw host-addressed packets (it provides its own
 request/ack matching), so it can be layered over either transport.
 
 The data plane is **batched at the packet boundary**: acquisitions for
-many objects travel in one acquire packet (:meth:`CoherenceAgent.read_many`
-for sequential-scan readers), the home coalesces grants completing at the
-same instant into one multi-oid grant reply, and the probe/invalidate
-fan-out of concurrent transactions coalesces per target into one
-multi-entry probe round (answered by one batched ack, dirty writebacks
-piggybacked per entry).
+many objects travel in one acquire packet (:meth:`CoherenceAgent.read_many`,
+the one read path, groups its misses per home), the home coalesces
+grants completing at the same instant into one multi-oid grant reply,
+and the probe/invalidate fan-out of concurrent transactions coalesces
+per target into one multi-entry probe round (answered by one batched
+ack, dirty writebacks piggybacked per entry).
 
 Caches are **capacity-bounded**: an agent constructed with
 ``capacity_bytes`` evicts least-recently-used entries when an insert
@@ -39,7 +39,7 @@ from collections import OrderedDict, deque
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.objectid import ObjectID
-from ..sim import Future, ReplyTable, ScheduledEvent, Simulator, Tracer
+from ..sim import Future, ReplyTable, Simulator, Tracer
 from ..net.host import Host
 from ..net.packet import Packet
 from .pool import SharedMemoryPool
@@ -73,6 +73,16 @@ PERM_MODIFIED = "M"
 # Shared-line eviction policies.
 EVICT_NOTIFY = "notify"           # release so the directory drops the sharer
 EVICT_SILENT_DROP = "silent_drop" # drop; the directory prunes on the next probe
+
+
+# What _flush sends per batched kind: packet builder, packet counter and
+# the counter of packets carrying more than one entry.
+_BATCHES = {
+    MSG_GRANT: (grant_packet, "coherence.batch.grant_pkts",
+                "coherence.batch.multi_grant"),
+    MSG_PROBE_INVALIDATE: (probe_packet, "coherence.batch.probe_pkts",
+                           "coherence.batch.multi_probe"),
+}
 
 
 class CoherenceError(Exception):
@@ -122,9 +132,9 @@ class CoherenceAgent:
 
     Usage from a simulated process::
 
-        data = yield agent.read(oid, offset, length)
-        yield agent.write(oid, offset, payload)
-        chunks = yield agent.read_many(oids, offset, length)  # batched scan
+        data = yield from agent.read(oid, offset, length)
+        yield from agent.write(oid, offset, payload)
+        chunks = yield from agent.read_many(oids)  # {oid: whole image}
 
     Reads acquire Shared permission; writes acquire Modified permission,
     invalidating every other copy first.  Repeated accesses hit the local
@@ -161,9 +171,9 @@ class CoherenceAgent:
         # waited-on writeback), but a dirty eviction's data must stay
         # reachable until the home acks it: a probe racing the release
         # finds the bytes here and piggybacks them on the probe ack, so
-        # the home never grants stale directory data.
+        # the home never grants stale directory data.  oid -> (release
+        # id, data); the ack naming that oid and id clears the entry.
         self._evicting: Dict[ObjectID, Tuple[int, bytes]] = {}
-        self._evict_inflight: Dict[int, ObjectID] = {}
         host.on(MSG_ACQUIRE, self._on_acquire)
         host.on(MSG_GRANT, self._on_grant)
         host.on(MSG_PROBE_INVALIDATE, self._on_probe)
@@ -172,13 +182,10 @@ class CoherenceAgent:
         host.on(MSG_RELEASE_ACK, self._on_release_ack)
         # Home-side per-transaction scratch: (oid, req key) -> collection state.
         self._collect: Dict[Tuple[ObjectID, Tuple[str, int]], Dict[str, Any]] = {}
-        # Same-instant coalescing buffers: probes per target, grants per
-        # requester.  Flushed by a zero-delay event, so everything a
-        # single arrival fans out to shares one wire packet per peer.
-        self._probe_out: Dict[str, List[Dict[str, Any]]] = {}
-        self._probe_flush: Dict[str, ScheduledEvent] = {}
-        self._grant_out: Dict[str, List[Dict[str, Any]]] = {}
-        self._grant_flush: Dict[str, ScheduledEvent] = {}
+        # Same-instant coalescing: probe and grant entries per (kind,
+        # peer), flushed by a zero-delay event, so everything a single
+        # arrival fans out to shares one wire packet per peer.
+        self._outbox: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
         # Upper layers (the proxy cache) that must hear about pushed
         # invalidations, so cached derivatives of our cache entries are
         # dropped the instant the protocol drops the entry itself.
@@ -255,16 +262,22 @@ class CoherenceAgent:
         return directory
 
     @staticmethod
-    def _check_range(oid: ObjectID, size: int, offset: int, length: int) -> None:
-        """Fault accesses outside the object's backing bytes.
+    def _range_end(oid: ObjectID, size: int, offset: int,
+                   length: Optional[int]) -> int:
+        """The end of the access ``[offset, offset + length)`` (to the end
+        of the object when ``length`` is None), faulting accesses outside
+        the object's backing bytes.
 
         Slice assignment past the end of a ``bytearray`` silently grows
         it, so an unchecked store would resize the object instead of
         faulting like real memory."""
+        if length is None:
+            length = size - offset
         if offset < 0 or length < 0 or offset + length > size:
             raise CoherenceError(
                 f"range [{offset}:{offset + length}) out of bounds for "
                 f"{oid.short()} ({size} bytes)")
+        return offset + length
 
     # -- capacity-bounded cache management ------------------------------------
     @property
@@ -319,7 +332,6 @@ class CoherenceAgent:
                 self.tracer.count("coherence.evict.writeback")
                 data = bytes(entry.data)
             req_id = ReplyTable.new_id()
-            self._evict_inflight[req_id] = oid
             if data is not None:
                 self._evicting[oid] = (req_id, data)
             self.host.send(release_packet(
@@ -328,127 +340,66 @@ class CoherenceAgent:
             return
         self.tracer.count("coherence.evict.shared")
         if self.shared_evict_policy == EVICT_NOTIFY:
-            req_id = ReplyTable.new_id()
-            self._evict_inflight[req_id] = oid
             self.host.send(release_packet(
-                self.host.name, self._home_of(oid), oid, req_id,
+                self.host.name, self._home_of(oid), oid, ReplyTable.new_id(),
                 PERM_SHARED, None))
         # silent_drop: say nothing — the directory keeps us as a sharer
         # until its next probe comes back "not present" and it prunes.
 
     # -- public operations (generator processes) -------------------------------
     def read(self, oid: ObjectID, offset: int, length: int):
-        """Process: acquire Shared (if needed) and return the bytes."""
-        entry = self._cache.get(oid)
-        if entry is None and self._home_of(oid) == self.host.name:
-            directory = self._home_directory(oid)
-            self._check_range(oid, len(directory.data), offset, length)
-            if directory.owner is not None:
-                # A remote Modified copy exists: recall it before reading.
-                yield from self._home_local_barrier(oid, PERM_SHARED)
-            self.tracer.count("coherence.home_hit")
-            return bytes(directory.data[offset : offset + length])
-        if entry is not None:
-            self.tracer.count("coherence.cache_hit")
-            self._touch(oid)
-            self._check_range(oid, len(entry.data), offset, length)
-            return bytes(entry.data[offset : offset + length])
-        if self._pool_read(oid):
-            # Pool-mapped: one load through the rack pool, no packets.
-            # No cache entry is installed (a load is a one-shot access,
-            # not a cache fill), so we owe the directory nothing.
-            self.tracer.count("coherence.pool_hit")
-            chunk = yield from self._pool.load(oid, offset, length)
-            return chunk
-        self.tracer.count("coherence.read_miss")
-        entry = yield from self._acquire(oid, PERM_SHARED)
-        self._check_range(oid, len(entry.data), offset, length)
-        return bytes(entry.data[offset : offset + length])
+        """Process: the bytes ``[offset, offset + length)`` of ``oid``."""
+        return (yield from self.read_many((oid,), offset, length))[oid]
 
-    def read_many(self, oids: Iterable[ObjectID], offset: int, length: int):
-        """Process: read the same range of many objects, batching the
-        acquisitions per home into single multi-oid packets.
+    def read_many(self, oids: Iterable[ObjectID], offset: int = 0,
+                  length: Optional[int] = None):
+        """Process: ``{oid: bytes}`` for the same range of every distinct
+        object in ``oids`` (whole images when ``length`` is None).
 
-        A sequential-scan reader over N uncached, conflict-free objects
-        with one home costs one acquire packet and one grant packet,
-        instead of N of each."""
-        oids = list(oids)
-        results: Dict[int, bytes] = {}
-        by_home: Dict[str, List[Tuple[int, ObjectID, int, Future]]] = {}
-        for index, oid in enumerate(oids):
-            entry = self._cache.get(oid)
-            if (entry is not None or self._home_of(oid) == self.host.name
-                    or self._pool_read(oid)):
-                # Cached, home-resident, or pool-mapped: the
-                # single-object path already serves these without
-                # acquire/grant traffic.
-                results[index] = yield from self.read(oid, offset, length)
-                continue
-            self.tracer.count("coherence.read_miss")
-            req_id, future = self.calls.open()
-            by_home.setdefault(self._home_of(oid), []).append(
-                (index, oid, req_id, future))
-        for home, wanted in by_home.items():
-            reqs = [{"oid": oid, "req_id": req_id}
-                    for _, oid, req_id, _ in wanted]
-            self._send_acquire(home, PERM_SHARED, reqs)
-        for home, wanted in by_home.items():
-            for index, oid, _, future in wanted:
-                granted = yield future
-                entry = self._install(
-                    oid, _CacheEntry(bytearray(granted["data"]), PERM_SHARED))
-                self._check_range(oid, len(entry.data), offset, length)
-                results[index] = bytes(entry.data[offset : offset + length])
-        return [results[i] for i in range(len(oids))]
-
-    def read_objects(self, oids: Iterable[ObjectID]):
-        """Process: read the *full images* of many objects, batching the
-        Shared acquisitions per home into single multi-oid packets.
-
-        Unlike :meth:`read_many` this takes no range — object sizes vary
-        and each grant carries the whole authoritative copy — which is
-        what the lazy-proxy resolver needs: one batched acquisition per
-        reachability-walk level, whatever the objects' sizes.  Returns
-        ``{oid: bytes}`` (duplicates collapse to one entry).
+        Each object is served, in order, from the cache, from the home
+        directory (after recalling a remote Modified copy) or from the
+        rack pool.  The rest acquire Shared copies together: one acquire
+        packet per home, so a sequential scan of N uncached objects with
+        one home costs one acquire and one grant packet, not N of each.
         """
         results: Dict[ObjectID, bytes] = {}
         by_home: Dict[str, List[Tuple[ObjectID, int, Future]]] = {}
-        for oid in oids:
-            if oid in results:
-                continue
+        for oid in dict.fromkeys(oids):
             entry = self._cache.get(oid)
             if entry is not None:
                 self.tracer.count("coherence.cache_hit")
                 self._touch(oid)
-                results[oid] = bytes(entry.data)
-                continue
-            if self._home_of(oid) == self.host.name:
+                end = self._range_end(oid, len(entry.data), offset, length)
+                results[oid] = bytes(entry.data[offset:end])
+            elif self._home_of(oid) == self.host.name:
                 directory = self._home_directory(oid)
+                end = self._range_end(oid, len(directory.data), offset, length)
                 if directory.owner is not None:
+                    # A remote Modified copy exists: recall it before reading.
                     yield from self._home_local_barrier(oid, PERM_SHARED)
                 self.tracer.count("coherence.home_hit")
-                results[oid] = bytes(directory.data)
-                continue
-            if self._pool_read(oid):
-                # The proxy resolver's fast path: the whole image comes
-                # out of the rack pool in one load, no packets.
+                results[oid] = bytes(directory.data[offset:end])
+            elif self._pool_read(oid):
+                # Pool-mapped: one load through the rack pool, no packets.
+                # No cache entry is installed (a load is a one-shot access,
+                # not a cache fill), so we owe the directory nothing.
                 self.tracer.count("coherence.pool_hit")
-                results[oid] = yield from self._pool.load(oid)
-                continue
-            self.tracer.count("coherence.read_miss")
-            req_id, future = self.calls.open()
-            by_home.setdefault(self._home_of(oid), []).append(
-                (oid, req_id, future))
+                results[oid] = yield from self._pool.load(oid, offset, length)
+            else:
+                self.tracer.count("coherence.read_miss")
+                req_id, future = self.calls.open()
+                by_home.setdefault(self._home_of(oid), []).append(
+                    (oid, req_id, future))
         for home, wanted in by_home.items():
-            reqs = [{"oid": oid, "req_id": req_id}
-                    for oid, req_id, _ in wanted]
-            self._send_acquire(home, PERM_SHARED, reqs)
-        for home, wanted in by_home.items():
+            self._send_acquire(home, PERM_SHARED, [
+                {"oid": oid, "req_id": req_id} for oid, req_id, _ in wanted])
+        for wanted in by_home.values():
             for oid, _, future in wanted:
                 granted = yield future
                 entry = self._install(
                     oid, _CacheEntry(bytearray(granted["data"]), PERM_SHARED))
-                results[oid] = bytes(entry.data)
+                end = self._range_end(oid, len(entry.data), offset, length)
+                results[oid] = bytes(entry.data[offset:end])
         return results
 
     def write(self, oid: ObjectID, offset: int, data: bytes):
@@ -458,16 +409,10 @@ class CoherenceAgent:
         if entry is not None and entry.perm == PERM_MODIFIED:
             self.tracer.count("coherence.cache_hit")
             self._touch(oid)
-        elif entry is not None and entry.perm == PERM_SHARED and home != self.host.name:
-            # §3.2's "upgrade access type": S -> M without re-shipping
-            # the data we already hold (unless a concurrent writer
-            # invalidated us while the upgrade was in flight).
-            self.tracer.count("coherence.upgrade")
-            entry = yield from self._upgrade(oid)
         elif home == self.host.name:
             # Home writes still invalidate remote copies first.
             directory = self._home_directory(oid)
-            self._check_range(oid, len(directory.data), offset, len(data))
+            self._range_end(oid, len(directory.data), offset, len(data))
             yield from self._home_local_barrier(oid, PERM_MODIFIED)
             # A pool mapping would now serve stale bytes: drop it so
             # rack readers fall back to the (coherent) packet path.
@@ -476,9 +421,11 @@ class CoherenceAgent:
             self.tracer.count("coherence.home_write")
             return
         else:
-            self.tracer.count("coherence.write_miss")
-            entry = yield from self._acquire(oid, PERM_MODIFIED)
-        self._check_range(oid, len(entry.data), offset, len(data))
+            # A Shared copy makes this §3.2's "upgrade access type".
+            self.tracer.count("coherence.upgrade" if entry is not None
+                              else "coherence.write_miss")
+            entry = yield from self._acquire_modified(oid)
+        self._range_end(oid, len(entry.data), offset, len(data))
         entry.data[offset : offset + len(data)] = data
         entry.dirty = True
 
@@ -501,10 +448,7 @@ class CoherenceAgent:
 
     def authoritative_data(self, oid: ObjectID) -> bytes:
         """Home-side accessor for tests/benchmarks."""
-        directory = self._directory.get(oid)
-        if directory is None:
-            raise CoherenceError(f"{self.host.name} is not home of {oid.short()}")
-        return bytes(directory.data)
+        return bytes(self._home_directory(oid).data)
 
     # -- requester side -----------------------------------------------------
     def _send_acquire(self, home: str, perm: str,
@@ -514,29 +458,25 @@ class CoherenceAgent:
             self.tracer.count("coherence.batch.multi_acquire")
         self.host.send(acquire_packet(self.host.name, home, perm, reqs))
 
-    def _acquire(self, oid: ObjectID, perm: str):
+    def _acquire_modified(self, oid: ObjectID):
+        """Process: acquire a Modified copy.  Holding a Shared copy makes
+        it an upgrade (S -> M), whose grant carries data only if that copy
+        was invalidated while the request was in flight."""
         req_id, future = self.calls.open()
-        self._send_acquire(self._home_of(oid), perm,
-                           [{"oid": oid, "req_id": req_id}])
-        granted = yield future
-        return self._install(oid, _CacheEntry(bytearray(granted["data"]), perm))
-
-    def _upgrade(self, oid: ObjectID):
-        """Process: request S -> M; the grant carries data only if our
-        shared copy was invalidated while the request was in flight."""
-        req_id, future = self.calls.open()
-        self._send_acquire(self._home_of(oid), PERM_MODIFIED,
-                           [{"oid": oid, "req_id": req_id, "upgrade": True}])
+        req: Dict[str, Any] = {"oid": oid, "req_id": req_id}
+        if oid in self._cache:
+            req["upgrade"] = True
+        self._send_acquire(self._home_of(oid), PERM_MODIFIED, [req])
         granted = yield future
         entry = self._cache.get(oid)
-        if granted.get("data") is not None or entry is None:
-            # We lost the copy mid-flight: the home shipped fresh data.
-            entry = self._install(
-                oid, _CacheEntry(bytearray(granted["data"]), PERM_MODIFIED))
-        else:
+        if granted["data"] is None and entry is not None:
             entry.perm = PERM_MODIFIED
             self._touch(oid)
-        return entry
+            return entry
+        # A plain acquire, or we lost the copy mid-flight: the home
+        # shipped fresh data.
+        return self._install(
+            oid, _CacheEntry(bytearray(granted["data"]), PERM_MODIFIED))
 
     def _home_local_barrier(self, oid: ObjectID, perm: str):
         """Recall/invalidate remote copies before a home-side access.
@@ -573,14 +513,13 @@ class CoherenceAgent:
 
     def _on_release_ack(self, packet: Packet) -> None:
         req_id = packet.payload["req_id"]
-        oid = self._evict_inflight.pop(req_id, None)
-        if oid is not None:
-            # A fire-and-forget eviction release completed: the home has
-            # the data, so the race buffer can let go of it.
-            pending = self._evicting.get(oid)
-            if pending is not None and pending[0] == req_id:
-                del self._evicting[oid]
+        pending = self._evicting.get(packet.oid)
+        if pending is not None and pending[0] == req_id:
+            # A dirty eviction's release completed: the home has the
+            # data, so the race buffer can let go of it.
+            del self._evicting[packet.oid]
             return
+        # A voluntary writeback's ack; a clean eviction's matches nothing.
         self.calls.resolve(req_id, None)
 
     # -- home / directory side ------------------------------------------------
@@ -594,7 +533,7 @@ class CoherenceAgent:
                 # silent drop would leave the requester's future pending
                 # forever, so answer with a NACK grant entry instead.
                 self.tracer.count("coherence.bad_home")
-                self._queue_grant(packet.src, {
+                self._queue(MSG_GRANT, packet.src, {
                     "req_id": req["req_id"],
                     "oid": oid,
                     "perm": perm,
@@ -638,25 +577,28 @@ class CoherenceAgent:
                                      "downgrade_to": downgrade_to}
         for target in sorted(to_probe):
             self.tracer.count("coherence.probe")
-            self._queue_probe(target, {"oid": oid, "req_key": list(key),
-                                       "downgrade_to": downgrade_to})
+            self._queue(MSG_PROBE_INVALIDATE, target, {
+                "oid": oid, "req_key": list(key), "downgrade_to": downgrade_to})
 
-    # -- probe fan-out batching ----------------------------------------------
-    def _queue_probe(self, target: str, probe: Dict[str, Any]) -> None:
-        self._probe_out.setdefault(target, []).append(probe)
-        if target not in self._probe_flush:
-            self._probe_flush[target] = self.sim.schedule(
-                0.0, self._flush_probes, target)
+    # -- same-instant batching -----------------------------------------------
+    def _queue(self, kind: str, peer: str, entry: Dict[str, Any]) -> None:
+        """Coalesce the probes toward one target (the invalidation
+        fan-out) or the grants toward one requester (the sequential
+        scan's reply-side half) made at the same instant into one
+        multi-entry packet."""
+        batch = self._outbox.get((kind, peer))
+        if batch is None:
+            batch = self._outbox[(kind, peer)] = []
+            self.sim.schedule(0.0, self._flush, kind, peer)
+        batch.append(entry)
 
-    def _flush_probes(self, target: str) -> None:
-        self._probe_flush.pop(target, None)
-        probes = self._probe_out.pop(target, None)
-        if not probes:
-            return
-        self.tracer.count("coherence.batch.probe_pkts")
-        if len(probes) > 1:
-            self.tracer.count("coherence.batch.multi_probe")
-        self.host.send(probe_packet(self.host.name, target, probes))
+    def _flush(self, kind: str, peer: str) -> None:
+        entries = self._outbox.pop((kind, peer))
+        build, packets, multi = _BATCHES[kind]
+        self.tracer.count(packets)
+        if len(entries) > 1:
+            self.tracer.count(multi)
+        self.host.send(build(self.host.name, peer, entries))
 
     def _on_probe(self, packet: Packet) -> None:
         acks: List[Dict[str, Any]] = []
@@ -722,7 +664,7 @@ class CoherenceAgent:
                 del self._collect[(oid, key)]
                 self._grant(oid, directory, state["txn"])
 
-    # -- grant coalescing -----------------------------------------------------
+    # -- grants -----------------------------------------------------------------
     def _grant(self, oid: ObjectID, directory: _DirectoryEntry,
                txn: _Txn) -> None:
         requester = txn.requester
@@ -756,27 +698,8 @@ class CoherenceAgent:
             self.calls.resolve(txn.req_id, entry)
             self._finish_transaction(oid, directory)
             return
-        self._queue_grant(requester, entry)
+        self._queue(MSG_GRANT, requester, entry)
         self._finish_transaction(oid, directory)
-
-    def _queue_grant(self, requester: str, entry: Dict[str, Any]) -> None:
-        """Coalesce grants completing at the same instant toward the
-        same requester into one multi-oid grant packet (the sequential
-        scan's reply-side half)."""
-        self._grant_out.setdefault(requester, []).append(entry)
-        if requester not in self._grant_flush:
-            self._grant_flush[requester] = self.sim.schedule(
-                0.0, self._flush_grants, requester)
-
-    def _flush_grants(self, requester: str) -> None:
-        self._grant_flush.pop(requester, None)
-        grants = self._grant_out.pop(requester, None)
-        if not grants:
-            return
-        self.tracer.count("coherence.batch.grant_pkts")
-        if len(grants) > 1:
-            self.tracer.count("coherence.batch.multi_grant")
-        self.host.send(grant_packet(self.host.name, requester, grants))
 
     def _finish_transaction(self, oid: ObjectID, directory: _DirectoryEntry) -> None:
         if directory.pending:

@@ -5,7 +5,7 @@ resolver protocol of :class:`repro.core.proxies.ProxyCache`, closing the
 loop PROXIES.md describes:
 
 * **resolve_many** acquires Shared copies of whole objects in one
-  batched acquisition per home (:meth:`CoherenceAgent.read_objects`), so
+  batched acquisition per home (:meth:`CoherenceAgent.read_many`), so
   a reachability-walk level costs one acquire/grant packet pair per home
   instead of one per object;
 * **store** goes through :meth:`CoherenceAgent.write` — the Modified
@@ -60,8 +60,7 @@ class CoherentProxyResolver:
     def resolve_many(self, oids: Iterable[ObjectID]):
         """Process: batched Shared acquisition of whole objects; returns
         ``{oid: payload bytes}`` (raw blob bytes when not wire images)."""
-        oids = list(oids)
-        images = yield from self.agent.read_objects(oids)
+        images = yield from self.agent.read_many(oids)
         if not self.wire_images:
             return images
         out: Dict[ObjectID, bytes] = {}
@@ -78,7 +77,7 @@ class CoherentProxyResolver:
             payload_at = self._payload_at.get(oid)
             if payload_at is None:
                 # Never resolved through us: fetch once to learn the layout.
-                images = yield from self.agent.read_objects([oid])
+                images = yield from self.agent.read_many([oid])
                 self._parse(oid, images[oid])
                 payload_at = self._payload_at[oid]
             at = payload_at + offset

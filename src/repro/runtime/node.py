@@ -483,7 +483,8 @@ class ClusterNode:
         every fetch has finished — the caller must not run against an
         object that never arrived.  ``span`` parents the fetch spans.
         """
-        missing = [oid for oid in oids if oid not in self.space]
+        # One fetch per object, however many times ``oids`` names it.
+        missing = [oid for oid in dict.fromkeys(oids) if oid not in self.space]
         if missing:
             # AllOf hands a failed child back as its value, not raised.
             outcomes = yield AllOf([

@@ -568,7 +568,7 @@ class TestFrameBatching:
             return chunks
 
         chunks = sim.run_process(proc())
-        assert chunks == [b"A", b"B"]  # the dirty bytes, not the zeros
+        assert chunks == {oids[0]: b"A", oids[1]: b"B"}  # dirty, not zeros
         home = agents["h0"].tracer.counters
         # Both downgrades rode one probe packet; both shared copies rode
         # one grant packet back to the reader (the writes earlier each
@@ -594,7 +594,7 @@ class TestFrameBatching:
             return chunks
 
         chunks = sim.run_process(proc())
-        assert chunks == [bytes([65 + i]) * 4 for i in range(8)]
+        assert chunks == {oid: bytes([65 + i]) * 4 for i, oid in enumerate(oids)}
         # One acquire packet out, one multi-oid grant packet back.
         assert reader.tracer.counters["coherence.batch.acquire_pkts"] == 1
         assert reader.tracer.counters["coherence.batch.multi_acquire"] == 1
@@ -619,11 +619,24 @@ class TestFrameBatching:
             return first, second
 
         first, second = sim.run_process(proc())
-        expected = [bytes([48 + i]) * 8 for i in range(4)]
+        expected = {oid: bytes([48 + i]) * 8 for i, oid in enumerate(oids)}
         assert first == expected
         assert second == expected
         # The second scan was served entirely from cache.
         assert reader.tracer.counters["coherence.read_miss"] == 4
+
+    def test_read_many_serves_a_duplicate_once(self):
+        c = star_cluster(_seed(39), 2, agents=2)
+        sim, home, reader = c.sim, c.agents["h0"], c.agents["h1"]
+        oid = IDAllocator(seed=_seed(39)).allocate()
+        home.host_object(oid, b"dup" * 4)
+
+        chunks = sim.run_process(reader.read_many([oid, oid], 0, 3))
+        assert chunks == {oid: b"dup"}
+        # One miss, one acquisition, one grant — not one per mention.
+        assert reader.tracer.counters["coherence.read_miss"] == 1
+        assert home.tracer.counters["coherence.grant"] == 1
+        assert home.tracer.counters["coherence.batch.grant_pkts"] == 1
 
 
 class TestSatelliteBugfixes:
@@ -919,7 +932,7 @@ class TestCapacityEviction:
             # Acquire Modified, write, voluntarily write back, re-acquire
             # via a plain read... simplest clean-M: write then writeback
             # leaves nothing; instead acquire M and never store into it.
-            yield from worker._acquire(a, "M")
+            yield from worker._acquire_modified(a)
             yield from worker.read(b, 0, 8)
             yield Timeout(1_000.0)
             return None

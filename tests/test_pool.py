@@ -205,14 +205,14 @@ class TestCoherenceIntegration:
         assert not pool.mapped(oid)
         assert sim.run_process(reader.read(oid, 0, 3)) == b"new"
 
-    def test_read_objects_uses_pool_fast_path(self):
+    def test_read_many_uses_pool_fast_path(self):
         sim, (home, reader), pool = self._rack(_seed(15))
         oids = [_oid() for _ in range(4)]
         for i, oid in enumerate(oids):
             home.host_object(oid, bytes([i]) * 32)
         home.map_to_pool(oids[0])
         home.map_to_pool(oids[2])
-        results = sim.run_process(reader.read_objects(oids))
+        results = sim.run_process(reader.read_many(oids))
         assert all(results[oid] == bytes([i]) * 32
                    for i, oid in enumerate(oids))
         counters = reader.tracer.counters

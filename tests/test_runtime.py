@@ -167,6 +167,27 @@ class TestInvocation:
         assert remote_reads == 0
         assert local_reads == 1
 
+    def test_eager_mode_stages_a_repeated_argument_once(self):
+        sim, net, registry, runtime = make_cluster()
+
+        @registry.register("pair")
+        def pair(ctx, args):
+            return ctx.here
+
+        blob = runtime.create_object("n1", size=256 * 1024)
+        _, code_ref = runtime.create_code("n0", "pair", text_size=256)
+        ref = GlobalRef(blob.oid, 0, "read")
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref, data_refs={"a": ref, "b": ref},
+                mode=MODE_EAGER, candidates=["n2"]))
+            return result
+
+        assert sim.run_process(proc()).value == "n2"
+        # The code object and the blob, each fetched once.
+        assert runtime.node("n2").tracer.counters["node.fetched"] == 2
+
     def test_lazy_mode_demand_reads(self):
         sim, net, registry, runtime = make_cluster()
 
