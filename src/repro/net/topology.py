@@ -59,7 +59,9 @@ class Network:
         # their own — see OBSERVABILITY.md.
         self.metrics = MetricsRegistry()
         self.metrics.register("net.links", self.tracer)
-        self._distance_cache: Dict[str, Dict[str, int]] = {}
+        # One shortest-path tree per destination (see _route), cleared
+        # on every topology change.
+        self._routes: Dict[str, Dict[str, Tuple[int, str, float]]] = {}
 
     # -- construction ----------------------------------------------------
     def _register(self, node: Node) -> None:
@@ -68,7 +70,7 @@ class Network:
         self.nodes[node.name] = node
         kind = "host" if isinstance(node, Host) else "switch"
         self.metrics.register(f"net.{kind}.{node.name}", node.tracer)
-        self._distance_cache.clear()
+        self._routes.clear()
 
     def add_host(self, name: str) -> Host:
         """Create and register a host."""
@@ -104,7 +106,7 @@ class Network:
             tracer=self.tracer,
         )
         self.links.append(link)
-        self._distance_cache.clear()
+        self._routes.clear()
         return link
 
     # -- lookup ------------------------------------------------------------
@@ -177,36 +179,38 @@ class Network:
         return [n for n in self.nodes.values() if isinstance(n, Switch)]
 
     # -- path queries --------------------------------------------------------
-    def _bfs(self, root_name: str) -> Tuple[Dict[str, int], Dict[str, str]]:
-        """Hop distances and BFS parents from ``root_name`` over all links."""
-        dist = {root_name: 0}
-        parent: Dict[str, str] = {}
-        queue = deque([root_name])
-        while queue:
-            current = queue.popleft()
-            node = self.node(current)
-            for link in node.links:
-                neighbor = link.other(node).name
-                if neighbor not in dist:
-                    dist[neighbor] = dist[current] + 1
-                    parent[neighbor] = current
-                    queue.append(neighbor)
-        return dist, parent
+    def _route(self, a: str, b: str) -> Tuple[int, str, float]:
+        """``a``'s entry ``(hops, next hop, summed link latency µs)`` in
+        the shortest-path tree toward ``b``; raises if ``a`` cannot
+        reach ``b``.
+
+        The tree comes from one BFS from ``b`` and is cached until the
+        topology changes.  Each hop's latency is that of the first link
+        joining the pair, the link :meth:`link_between` returns.
+        """
+        tree = self._routes.get(b)
+        if tree is None:
+            queue = deque([self.node(b)])
+            tree = self._routes[b] = {b: (0, b, 0.0)}
+            while queue:
+                node = queue.popleft()
+                hops, _, latency = tree[node.name]
+                for link in node.links:
+                    neighbor = link.other(node)
+                    if neighbor.name not in tree:
+                        tree[neighbor.name] = (hops + 1, node.name,
+                                               latency + link.latency_us)
+                        queue.append(neighbor)
+        entry = tree.get(a)
+        if entry is None:
+            raise NodeError(f"no path from {a!r} to {b!r}")
+        return entry
 
     def hop_distance(self, a: str, b: str) -> int:
         """Number of links on the shortest path from ``a`` to ``b``."""
         if a == b:
             return 0
-        if a not in self._distance_cache:
-            self._distance_cache[a], _ = self._bfs(a)
-        dist = self._distance_cache[a].get(b)
-        if dist is None:
-            raise NodeError(f"no path from {a!r} to {b!r}")
-        return dist
-
-    def distance_fn(self):
-        """A ``(from, to) -> hops`` callable for the placement engine."""
-        return self.hop_distance
+        return self._route(a, b)[0]
 
     def path_latency_us(self, a: str, b: str) -> float:
         """Sum of link propagation latencies along the shortest path.
@@ -214,17 +218,7 @@ class Network:
         Hop counts treat a 200 us edge uplink and a 5 us rack link as
         equal; placement estimates should not.
         """
-        route = self.path(a, b)
-        total = 0.0
-        for here, there in zip(route, route[1:]):
-            node = self.node(here)
-            for link in node.links:
-                if link.other(node).name == there:
-                    total += link.latency_us
-                    break
-            else:  # pragma: no cover - path() guarantees adjacency
-                raise NodeError(f"no link between {here!r} and {there!r}")
-        return total
+        return self._route(a, b)[2]
 
     def port_toward(self, switch_name: str, target_name: str) -> int:
         """The egress port on ``switch_name`` for shortest-path traffic
@@ -232,10 +226,7 @@ class Network:
         switch = self.switch(switch_name)
         if switch_name == target_name:
             raise NodeError("a switch has no port toward itself")
-        _, parent = self._bfs(target_name)
-        if switch_name not in parent:
-            raise NodeError(f"no path from {switch_name!r} to {target_name!r}")
-        next_hop = parent[switch_name]  # one step closer to the target
+        next_hop = self._route(switch_name, target_name)[1]
         for port in range(switch.port_count):
             if switch.neighbor(port).name == next_hop:
                 return port
@@ -245,12 +236,10 @@ class Network:
 
     def path(self, a: str, b: str) -> List[str]:
         """Node names along the shortest path from ``a`` to ``b`` inclusive."""
-        _, parent = self._bfs(b)
-        if a != b and a not in parent:
-            raise NodeError(f"no path from {a!r} to {b!r}")
+        self._route(a, b)  # raises unless ``a`` reaches ``b``
         route = [a]
         while route[-1] != b:
-            route.append(parent[route[-1]])
+            route.append(self._route(route[-1], b)[1])
         return route
 
 

@@ -353,22 +353,23 @@ class GlobalSpaceRuntime:
     def set_locator(self, locator: Optional[Callable[[ObjectID, str], Optional[str]]]) -> None:
         """Install an optional ``(oid, to) -> holder`` location hint — e.g.
         :meth:`LeaseCachingResolver.locator` from the sharded discovery
-        plane — consulted by :meth:`nearest_holder` before the hop-count
-        scan.  Pass ``None`` to remove it."""
+        plane — that :meth:`sources` puts first.  Pass ``None`` to remove
+        it."""
         self._locator = locator
 
-    def nearest_holder(self, oid: ObjectID, to: str) -> str:
-        """Closest replica holder to ``to`` by hop count.
+    def sources(self, oid: ObjectID, to: str) -> List[str]:
+        """Replica holders of ``oid`` in the order node ``to`` tries them:
+        a live locator hint first (a stale one is ignored: hints are an
+        optimisation, never a correctness input), then the rest by
+        ``(hop_distance, name)`` — the name keeps equidistant ties out
+        of set-iteration order, which varies with hash randomization."""
+        hint = self._locator(oid, to) if self._locator is not None else None
+        return sorted(self.holders(oid), key=lambda h: (
+            h != hint, self.network.hop_distance(h, to), h))
 
-        A hint from an installed locator wins if it names a live replica;
-        a stale or unknown hint falls back to the scan (hints are an
-        optimisation, never a correctness input)."""
-        if self._locator is not None:
-            hint = self._locator(oid, to)
-            if hint is not None and hint in (self.locations.get(oid) or ()):
-                return hint
-        return min(self.holders(oid),
-                   key=lambda h: self.network.hop_distance(h, to))
+    def nearest_holder(self, oid: ObjectID, to: str) -> str:
+        """The replica holder of ``oid`` that ``to`` tries first."""
+        return self.sources(oid, to)[0]
 
     def _effective_distance(self, a: str, b: str) -> int:
         """Latency-weighted distance in equivalent cost-model hops.
@@ -606,11 +607,18 @@ class GlobalSpaceRuntime:
 
             eager_staging = mode in (MODE_EAGER, MODE_ISOLATED)
             scale = 1.0 if eager_staging else self.lazy_touch_fraction
+            # One item per distinct object (staging fetches it once),
+            # pinned when any argument naming it is.
+            pinned_oids = {data_refs[name].oid for name in pinned}
+            distinct: Dict[ObjectID, GlobalRef] = {}
+            for ref in data_refs.values():
+                distinct.setdefault(ref.oid, ref)
             request = PlacementRequest(
                 code=self._placement_item(code_ref),
                 inputs=tuple(
-                    self._placement_item(ref, scale=scale, pinned=(name in pinned))
-                    for name, ref in data_refs.items()
+                    self._placement_item(ref, scale=scale,
+                                         pinned=ref.oid in pinned_oids)
+                    for ref in distinct.values()
                 ),
                 invoker=invoker,
                 result_bytes=result_bytes,

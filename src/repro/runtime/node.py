@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
 
 from ..core.objectid import ObjectID
 from ..core.objects import MemObject
@@ -229,17 +229,6 @@ class ClusterNode:
             kind=kind, src=self.name, dst=request.src, oid=request.oid,
             payload=payload, payload_bytes=m.RSP_OVERHEAD_BYTES + data_bytes,
         ))
-
-    def _sources(self, oid: ObjectID, holder: Optional[str]) -> List[str]:
-        """Replicas to try for ``oid``: just ``holder`` when given, else
-        every holder nearest first.  Equidistant holders tie-break by
-        name: a bare distance key would fall back to set-iteration order,
-        which varies with hash randomization across processes."""
-        if holder is not None:
-            return [holder]
-        return sorted(
-            self.runtime.holders(oid),
-            key=lambda h: (self.runtime.network.hop_distance(h, self.name), h))
 
     # -- server side ----------------------------------------------------------
     def _on_fetch_req(self, packet: Packet) -> None:
@@ -500,9 +489,10 @@ class ClusterNode:
                      span=None):
         """Process: pull a full object image into our space.
 
-        Tries the nearest holder first; on a NACK or timeout (crashed or
-        stale holder — the §5 partial-failure case) it fails over to the
-        remaining replicas before giving up.  ``span`` (usually the
+        Tries ``holder`` or else the replicas in
+        :meth:`GlobalSpaceRuntime.sources` order; on a NACK or timeout
+        (crashed or stale holder — the §5 partial-failure case) it fails
+        over to the next one before giving up.  ``span`` (usually the
         stage_in phase) parents a per-object fetch span.
         """
         fetch_span = None
@@ -514,7 +504,8 @@ class ClusterNode:
                 fetch_span.finish(cached=True)
             return self.space.get(oid)
         last_error = None
-        for source in self._sources(oid, holder):
+        sources = [holder] if holder is not None else self.runtime.sources(oid, self.name)
+        for source in sources:
             if source == self.name:
                 continue
             req_id, future = self.calls.open()
@@ -551,7 +542,8 @@ class ClusterNode:
         """Process: demand-read a range of a remote object, failing over
         across replicas on denial, staleness, or holder crash."""
         last_error = None
-        for source in self._sources(oid, holder):
+        sources = [holder] if holder is not None else self.runtime.sources(oid, self.name)
+        for source in sources:
             req_id, future = self.calls.open()
             self.host.send(Packet(
                 kind=m.KIND_READ_REQ, src=self.name, dst=source, oid=oid,

@@ -17,30 +17,32 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Dict, Iterable, List
 
 __all__ = ["Counter", "SampleSeries", "Tracer", "NullTracer", "NULL_TRACER",
-           "summarize", "percentile"]
+           "summarize", "percentile", "nearest_rank"]
+
+
+def nearest_rank(n: int, pct: float) -> int:
+    """1-based rank ``ceil(pct/100 * n)``, at least 1 (p0 is the minimum),
+    computed exactly over the decimal value of ``pct``: in floats 99.9
+    over 1000 samples over-shoots to rank 1000, not 999."""
+    return max(1, int(-(-(Fraction(str(pct)) * n) // 100)))
 
 
 def percentile(values: List[float], pct: float) -> float:
     """Nearest-rank percentile of ``values`` (``pct`` in [0, 100]).
 
     Nearest-rank means the result is always one of the samples: the
-    value at (1-based) rank ``ceil(pct/100 * n)`` in sorted order.  At
-    the ``pct == 0.0`` edge that formula would yield rank 0, which does
-    not exist, so p0 is defined as the minimum (rank 1) — consistent
-    with the rank floor applied everywhere else.
+    value at :func:`nearest_rank` in sorted order.
     """
     if not values:
         raise ValueError("percentile of empty series")
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile out of range: {pct}")
     ordered = sorted(values)
-    if pct == 0.0:
-        return ordered[0]
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    return ordered[nearest_rank(len(ordered), pct) - 1]
 
 
 @dataclass

@@ -9,9 +9,15 @@ from repro.net import (
     build_line,
     build_paper_topology,
     build_star,
+    build_multi_region,
     build_two_tier,
 )
 from repro.sim import Timeout
+
+
+def next_hop(net, switch, target):
+    """The neighbour ``port_toward`` sends ``switch``'s traffic to."""
+    return net.switch(switch).neighbor(net.port_toward(switch, target)).name
 
 
 class TestBuilders:
@@ -112,10 +118,63 @@ class TestNetworkQueries:
         with pytest.raises(NodeError):
             net.port_toward("s1", "s1")
 
-    def test_distance_fn_matches_method(self, sim):
-        net = build_star(sim, 3)
-        fn = net.distance_fn()
-        assert fn("h0", "h1") == net.hop_distance("h0", "h1")
+    @pytest.mark.parametrize("build", [
+        build_paper_topology,
+        lambda sim: build_two_tier(sim, 4, 4),
+        lambda sim: build_line(sim, 4, 2),
+        lambda sim: build_multi_region(sim, 3, 2, rack_latency_us=5.0,
+                                       wan_latency_us=2_000.0).network,
+    ], ids=["paper", "two_tier", "line", "multi_region"])
+    def test_route_queries_agree(self, sim, build):
+        net = build(sim)
+        names = sorted(net.nodes)
+        for a in names:
+            for b in names:
+                path = net.path(a, b)
+                assert path[0] == a and path[-1] == b
+                assert len(path) - 1 == net.hop_distance(a, b)
+                # The tree sums from the target end: same links, float
+                # additions in the other order.
+                assert net.path_latency_us(a, b) == pytest.approx(sum(
+                    net.link_between(x, y).latency_us
+                    for x, y in zip(path, path[1:])), rel=1e-12)
+                if a != b and a in {s.name for s in net.switches}:
+                    assert next_hop(net, a, b) == path[1]
+
+    def test_routes_follow_a_new_shortcut(self, sim):
+        net = build_line(sim, 4, 1)
+        assert net.path("h0_0", "h3_0") == [
+            "h0_0", "s0", "s1", "s2", "s3", "h3_0"]
+        assert next_hop(net, "s0", "h3_0") == "s1"
+        net.connect("s0", "s3", latency_us=1.0)
+        assert net.path("h0_0", "h3_0") == ["h0_0", "s0", "s3", "h3_0"]
+        assert net.hop_distance("h0_0", "h3_0") == 3
+        assert net.path_latency_us("h0_0", "h3_0") == (
+            2 * net.default_latency_us + 1.0)
+        assert next_hop(net, "s0", "h3_0") == "s3"
+
+    def test_routes_reach_a_new_host(self, sim):
+        net = build_star(sim, 2)
+        assert net.hop_distance("h0", "h1") == 2
+        net.add_host("late")
+        with pytest.raises(NodeError):
+            net.hop_distance("h0", "late")
+        net.connect("late", "s0")
+        assert net.hop_distance("h0", "late") == 2
+        assert net.path("late", "h1") == ["late", "s0", "h1"]
+
+    def test_unknown_names_raise(self, sim):
+        net = build_star(sim, 2)
+        with pytest.raises(NodeError):
+            net.path("zz", "zz")
+        with pytest.raises(NodeError):
+            net.path("zz", "h0")
+        with pytest.raises(NodeError):
+            net.path_latency_us("h0", "zz")
+        with pytest.raises(NodeError):
+            net.hop_distance("zz", "h0")
+        with pytest.raises(NodeError):
+            net.port_toward("s0", "zz")
 
 
 class TestHostDispatch:

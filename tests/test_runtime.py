@@ -1,7 +1,13 @@
 """Unit and integration tests for the global-space invocation runtime."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.cluster import star_cluster
 from repro.core import FunctionRegistry, GlobalRef, IDAllocator
 from repro.core.proxies import ObjectProxy
@@ -71,6 +77,53 @@ class TestClusterSetup:
         # copy the bytes so the replica is real
         runtime.node("h1_0").space.insert(obj.clone())
         assert runtime.nearest_holder(obj.oid, "h2_0") == "h1_0"
+
+    def test_equidistant_replicas_tie_break_by_name(self):
+        # Set iteration order follows string hashing; under this hash
+        # seed a bare ``min`` over the holder set picks n2.
+        script = textwrap.dedent("""
+            from repro.cluster import star_cluster
+            c = star_cluster(1, 4, prefix="n", nodes=4)
+            runtime = c.runtime
+            obj = runtime.create_object("n1", size=64)
+            runtime.node("n2").space.insert(obj.clone())
+            runtime.note_copy(obj.oid, "n2")
+            writer = runtime.node("n0")
+            c.sim.run_process(writer.remote_write(obj.oid, 0, b"x"))
+            written = [n for n in ("n1", "n2")
+                       if runtime.node(n).space.get(obj.oid).read(0, 1) == b"x"]
+            print(runtime.nearest_holder(obj.oid, "n0"), *written)
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONHASHSEED="2", PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["n1", "n1"]
+
+    def test_sources_put_a_live_hint_first(self):
+        sim, net, registry, runtime = make_cluster()
+        obj = runtime.create_object("n1", size=64)
+        runtime.note_copy(obj.oid, "n2")
+        assert runtime.sources(obj.oid, "n0") == ["n1", "n2"]
+        runtime.set_locator(lambda oid, to: "n2")
+        assert runtime.sources(obj.oid, "n0") == ["n2", "n1"]
+        assert runtime.nearest_holder(obj.oid, "n0") == "n2"
+        runtime.set_locator(lambda oid, to: "n3")  # not a holder
+        assert runtime.sources(obj.oid, "n0") == ["n1", "n2"]
+
+    def test_read_tries_the_hinted_replica_first(self):
+        sim, net, registry, runtime = make_cluster()
+        obj = runtime.create_object("n1", size=64)
+        replica = obj.clone()
+        replica.write(0, b"R")  # tells the replicas apart
+        runtime.node("n2").space.insert(replica)
+        runtime.note_copy(obj.oid, "n2")
+        reader = runtime.node("n0")
+        assert sim.run_process(reader.remote_read(obj.oid, 0, 1)) != b"R"
+        runtime.set_locator(lambda oid, to: "n2")
+        assert sim.run_process(reader.remote_read(obj.oid, 0, 1)) == b"R"
+        fetched = sim.run_process(reader.fetch_object(obj.oid))
+        assert fetched.read(0, 1) == b"R"
 
     def test_drop_replica_guards_last_copy(self):
         sim, net, registry, runtime = make_cluster()
@@ -187,6 +240,48 @@ class TestInvocation:
         assert sim.run_process(proc()).value == "n2"
         # The code object and the blob, each fetched once.
         assert runtime.node("n2").tracer.counters["node.fetched"] == 2
+
+    def test_placement_prices_a_repeated_argument_once(self):
+        sim, net, registry, runtime = make_cluster()
+
+        @registry.register("pair")
+        def pair(ctx, args):
+            return ctx.here
+
+        blob = runtime.create_object("n1", size=256 * 1024)
+        code, code_ref = runtime.create_code("n0", "pair", text_size=256)
+        ref = GlobalRef(blob.oid, 0, "read")
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref, data_refs={"a": ref, "b": ref},
+                mode=MODE_EAGER, candidates=["n2"]))
+            return result
+
+        decision = sim.run_process(proc()).decision
+        assert sorted(m.ref.oid for m in decision.movements) == sorted(
+            [code.oid, blob.oid])
+        assert decision.bytes_moved == code.wire_size + blob.wire_size
+        assert runtime.placement.tracer.counters["placement.tier.network"] == 2
+
+    def test_pin_on_either_name_pins_a_repeated_object(self):
+        sim, net, registry, runtime = make_cluster(speeds={"n1": 0.1})
+
+        @registry.register("where2")
+        def where2(ctx, args):
+            return ctx.here
+
+        blob = runtime.create_object("n1", size=1024)
+        _, code_ref = runtime.create_code("n0", "where2", text_size=256)
+        ref = GlobalRef(blob.oid, 0, "read")
+
+        def proc():
+            result = yield sim.spawn(runtime.invoke(
+                "n0", code_ref, data_refs={"a": ref, "b": ref},
+                pinned=["b"], flops=1e6))
+            return result
+
+        assert sim.run_process(proc()).executed_at == "n1"  # the slow holder
 
     def test_lazy_mode_demand_reads(self):
         sim, net, registry, runtime = make_cluster()

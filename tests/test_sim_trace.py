@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Counter, SampleSeries, Tracer, percentile, summarize
+from repro.sim.trace import nearest_rank
 
 
 class TestPercentile:
@@ -26,6 +27,23 @@ class TestPercentile:
         with pytest.raises(ValueError):
             percentile([1.0], 101)
 
+
+    def test_p999_rank_is_exact(self):
+        # 99.9 / 100 * 1000 is 999.0000000000001 in floats; a float
+        # ceiling lands one rank high.
+        assert percentile(range(1, 1001), 99.9) == 999
+
+    def test_nearest_rank_matches_integer_arithmetic(self):
+        for n in range(1, 3001):
+            assert nearest_rank(n, 99.9) == -(-999 * n // 1000)
+            assert nearest_rank(n, 99) == -(-99 * n // 100)
+            assert nearest_rank(n, 50) == -(-n // 2)
+            assert nearest_rank(n, 0) == 1
+            assert nearest_rank(n, 100) == n
+
+    def test_fractional_percentile_rank_does_not_truncate(self):
+        assert nearest_rank(2, 50.25) == 2
+        assert percentile([1.0, 2.0], 50.25) == 2.0
 
 class TestSummarize:
     def test_mean_and_extremes(self):
